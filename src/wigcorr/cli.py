@@ -38,6 +38,7 @@ from .egf_engine import (
     edge_scaled_full,
     extract_f,
     sigma_alpha,
+    sigma_from_cross,
 )
 from .errors import (
     CancellationError,
@@ -144,40 +145,13 @@ def _row(n: int, raw: ScaledReal, scaled: float, limit: float,
     )
 
 
-class LimitCache:
-    """Limit-kernel values computed once per (family, alpha, mu, nu)."""
-
-    def __init__(self):
-        self._store: Dict[tuple, float] = {}
-
-    def edge_kernel(self, alpha: float, mu: float, nu: float) -> float:
-        key = ("edge", alpha, mu, nu)
-        if key not in self._store:
-            if alpha == 1.0:
-                value = airy_kernel(mu, nu)
-            elif alpha == 2.0:
-                value = b_kernel(mu, nu)
-            else:
-                value = i_alpha(alpha, mu, nu)
-            self._store[key] = value
-        return self._store[key]
-
-    def bulk_kernel(self, alpha: float, mu: float, nu: float) -> float:
-        key = ("bulk", alpha, mu, nu)
-        if key not in self._store:
-            value = sine_kernel(mu, nu) if alpha == 1.0 else t_kernel(mu, nu)
-            self._store[key] = value
-        return self._store[key]
-
-    def corr_limit(self, alpha: float, mu: float, nu: float) -> float:
-        off = self.edge_kernel(alpha, mu, nu)
-        diag_mu = self.edge_kernel(alpha, mu, mu)
-        diag_nu = self.edge_kernel(alpha, nu, nu)
-        if diag_mu <= 0.0 or diag_nu <= 0.0:
-            raise DegenerateDenominatorError(
-                f"limit kernel diagonal not positive at mu={mu}, nu={nu}"
-            )
-        return off / math.sqrt(diag_mu * diag_nu)
+def _edge_kernel(alpha: float, mu: float, nu: float) -> float:
+    """Edge limit kernel of order alpha: closed form where one exists."""
+    if alpha == 1.0:
+        return airy_kernel(mu, nu)
+    if alpha == 2.0:
+        return b_kernel(mu, nu)
+    return i_alpha(alpha, mu, nu)
 
 
 def _error_slope(ns: Sequence[int], errs: Sequence[float]) -> Optional[float]:
@@ -220,8 +194,7 @@ def _base_params(args, sizes: Optional[List[int]] = None,
 
 def cmd_edge(args) -> RunReport:
     sizes = _resolve_n_list(args)
-    cache = LimitCache()
-    limit = math.exp(args.bstar) * cache.edge_kernel(args.alpha, args.mu, args.nu)
+    limit = math.exp(args.bstar) * _edge_kernel(args.alpha, args.mu, args.nu)
     rows = []
     for n in sizes:
         scaled, raw, diag = edge_scaled_full(
@@ -240,8 +213,8 @@ def cmd_edge(args) -> RunReport:
 
 def cmd_bulk(args) -> RunReport:
     sizes = _resolve_n_list(args)
-    cache = LimitCache()
-    limit = math.exp(args.bstar) * cache.bulk_kernel(args.alpha, args.mu, args.nu)
+    kernel = sine_kernel if args.alpha == 1.0 else t_kernel
+    limit = math.exp(args.bstar) * kernel(args.mu, args.nu)
     rows: List[Row] = []
     flagged: List[int] = []
     for n in sizes:
@@ -273,15 +246,22 @@ def cmd_bulk(args) -> RunReport:
 
 def cmd_corr(args) -> RunReport:
     sizes = _resolve_n_list(args)
-    cache = LimitCache()
-    limit = cache.corr_limit(args.alpha, args.mu, args.nu)
+    off = _edge_kernel(args.alpha, args.mu, args.nu)
+    diag_mu = _edge_kernel(args.alpha, args.mu, args.mu)
+    diag_nu = _edge_kernel(args.alpha, args.nu, args.nu)
+    if diag_mu <= 0.0 or diag_nu <= 0.0:
+        raise DegenerateDenominatorError(
+            f"limit kernel diagonal not positive at mu={args.mu}, nu={args.nu}"
+        )
+    limit = off / math.sqrt(diag_mu * diag_nu)
     rows = []
     for n in sizes:
         mu_n, nu_n = edge_points(n, args.mu, args.nu)
         _, raw, diag = edge_scaled_full(
             args.alpha, args.bstar, args.mu, args.nu, n
         )
-        value = sigma_alpha(args.alpha, args.bstar, mu_n, nu_n, n)
+        # raw is f_n at (mu_n, nu_n), the cross term of the correlation
+        value = sigma_from_cross(raw, args.alpha, args.bstar, mu_n, nu_n, n)
         rows.append(_row(n, raw, value, limit, diag.condition))
     diagnostics: Dict[str, object] = {
         "contour_points": [default_points(n) for n in sizes],

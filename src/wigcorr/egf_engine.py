@@ -10,11 +10,12 @@ reaches n = 10^6 without overflow.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 from scipy.special import gammaln
 
@@ -38,7 +39,9 @@ __all__ = [
     "EgfParams",
     "ContourJob",
     "SaddleData",
-    "ScalingSpec",
+    "rho",
+    "edge_lognorm",
+    "bulk_lognorm",
     "egf_eval",
     "extract_f",
     "edge_points",
@@ -47,6 +50,7 @@ __all__ = [
     "bulk_scaled_f",
     "bulk_scaled_full",
     "sigma_alpha",
+    "sigma_from_cross",
 ]
 
 MAX_ABS_Z = 0.9999
@@ -57,11 +61,21 @@ IMAG_RESIDUE_TOL = 1e-8
 CONDITION_LIMIT = 1e12
 
 # The double-precision contour average loses about one digit per decade
-# of condition number (measured: relative error ~ 5e-18 * condition).
-# Above this threshold the extraction reruns in arbitrary precision.
+# of condition number (measured relative error 5e-18 to 2.5e-15 times
+# the condition). Above MP_CONDITION_AT, or with an imaginary residue,
+# orders up to MP_MAX_N are recomputed by the f_n recurrence instead;
+# above MP_MAX_N the contour value stands alone.
 MP_CONDITION_AT = 1e7
 MP_MAX_N = 4096
-_MP_DPS_CAP = 120
+# The recurrence refuses a value whose error estimate exceeds the
+# tolerance. Its true error was measured at up to 3.1e3 times the
+# estimate (near zeros of f_n in the bulk), so accepted values stay
+# within about 3e-12.
+_RECURRENCE_DIGITS = 40
+_RECURRENCE_TOL = 1e-15
+_RECURRENCE_CONTEXT = decimal.Context(
+    prec=_RECURRENCE_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+)
 
 # The default contour would degenerate to radius 0 at n = 1, so small n
 # fall back to a fixed interior circle; the coefficient is radius-free.
@@ -142,42 +156,32 @@ class SaddleData:
     condition: float
 
 
-class ScalingSpec:
-    """Normalizations that turn raw coefficients into order-one scaled
-    quantities with finite limits."""
-
-    @staticmethod
-    def rho(xi: float) -> float:
-        """Semicircle density at bulk position xi in (-2, 2)."""
-        if not (abs(xi) < 2.0):
-            raise DomainError(f"bulk position {xi} outside (-2, 2)")
-        return math.sqrt(4.0 - xi * xi) / (2.0 * math.pi)
-
-    @staticmethod
-    def edge_lognorm(alpha: float, n: int, mu: float, nu: float) -> float:
-        """Natural log of the edge normalizer."""
-        return (0.5 * math.log(2.0 * math.pi) + float(gammaln(n + 1))
-                + (2.0 * alpha - 1.0) / 6.0 * math.log(n)
-                + 2.0 * n + (mu + nu) * n ** (1.0 / 3.0))
-
-    @staticmethod
-    def bulk_lognorm(alpha: float, n: int, xi: float, mu: float, nu: float) -> float:
-        """Natural log of the bulk normalizer (orders 1 and 2 only)."""
-        rho = ScalingSpec.rho(xi)
-        if alpha == 1.0:
-            n_pow, rho_pow = 0.5, 1.0
-        elif alpha == 2.0:
-            n_pow, rho_pow = 1.5, 3.0
-        else:
-            raise DomainError(f"bulk normalizer defined for alpha 1 or 2, got {alpha}")
-        return (0.5 * math.log(2.0 * math.pi) + float(gammaln(n + 1))
-                + n_pow * math.log(n) + rho_pow * math.log(rho)
-                + 0.5 * n * xi * xi + 0.5 * (mu + nu) * xi / rho)
+def rho(xi: float) -> float:
+    """Semicircle density at bulk position xi in (-2, 2)."""
+    if not (abs(xi) < 2.0):
+        raise DomainError(f"bulk position {xi} outside (-2, 2)")
+    return math.sqrt(4.0 - xi * xi) / (2.0 * math.pi)
 
 
-rho = ScalingSpec.rho
-edge_lognorm = ScalingSpec.edge_lognorm
-bulk_lognorm = ScalingSpec.bulk_lognorm
+def edge_lognorm(alpha: float, n: int, mu: float, nu: float) -> float:
+    """Natural log of the edge normalizer."""
+    return (0.5 * math.log(2.0 * math.pi) + float(gammaln(n + 1))
+            + (2.0 * alpha - 1.0) / 6.0 * math.log(n)
+            + 2.0 * n + (mu + nu) * n ** (1.0 / 3.0))
+
+
+def bulk_lognorm(alpha: float, n: int, xi: float, mu: float, nu: float) -> float:
+    """Natural log of the bulk normalizer (orders 1 and 2 only)."""
+    rho_xi = rho(xi)
+    if alpha == 1.0:
+        n_pow, rho_pow = 0.5, 1.0
+    elif alpha == 2.0:
+        n_pow, rho_pow = 1.5, 3.0
+    else:
+        raise DomainError(f"bulk normalizer defined for alpha 1 or 2, got {alpha}")
+    return (0.5 * math.log(2.0 * math.pi) + float(gammaln(n + 1))
+            + n_pow * math.log(n) + rho_pow * math.log(rho_xi)
+            + 0.5 * n * xi * xi + 0.5 * (mu + nu) * xi / rho_xi)
 
 
 def egf_eval(params: EgfParams, z):
@@ -211,9 +215,10 @@ def extract_f(job: ContourJob):
     from polar pieces r^(-n) e^(-int), never through a complex log, so
     there is no branch-cut hazard at the angle seam. Contours far from
     the optimal radius concentrate the coefficient in a heavily
-    cancelling average; such jobs rerun in arbitrary precision instead
-    of returning digits that doubles cannot support. Returns the scaled
-    value and extraction diagnostics.
+    cancelling average; such jobs are recomputed by the f_n recurrence
+    instead of returning digits that doubles cannot support. Returns the
+    scaled value and extraction diagnostics; the condition is always the
+    contour's cancellation.
     """
     params = job.params
     xi_n = 0.5 * (params.mu + params.nu)
@@ -232,7 +237,16 @@ def extract_f(job: ContourJob):
     ill_conditioned = mag == 0.0 or 1.0 / mag > MP_CONDITION_AT
     if (ill_conditioned or abs(mean.imag) > IMAG_RESIDUE_TOL * mag) \
             and job.n <= MP_MAX_N:
-        return _extract_mp(job, xi_n, eta_n)
+        sign, log_c, error = _recurrence_f(params, job.n)
+        if not error <= _RECURRENCE_TOL:
+            raise CancellationError(
+                f"recurrence error estimate {error:.3e} above "
+                f"{_RECURRENCE_TOL:.0e} at n = {job.n}",
+                at=job,
+            )
+        condition = max(1.0, math.exp(min(shift - log_c, 709.0)))
+        value = scaled_from_log(sign, float(gammaln(job.n + 1)) + log_c)
+        return value, SaddleData(xi_n, eta_n, shift, condition)
     if mag == 0.0:
         raise CancellationError("contour average cancelled to exact zero")
     if abs(mean.imag) > IMAG_RESIDUE_TOL * mag:
@@ -249,78 +263,48 @@ def extract_f(job: ContourJob):
     return value, SaddleData(xi_n, eta_n, shift, condition)
 
 
-def _mp_contour_mean(params: EgfParams, n: int, points: int, radius: float):
-    """Trapezoid average of EGF(z) z^(-n) at the working mp precision.
+def _recurrence_f(params: EgfParams, n: int):
+    """Sign and log |c_n| of c_n = f_n / n!, n >= 1, from the linear
+    recurrence of the generating function, with an error estimate.
 
-    Angles are handled as exact multiples of pi through expjpi, so the
-    phase e^(-int) carries no argument-reduction error. Returns the
-    average and the natural log of the largest sample magnitude.
+    (1 - z^2)^2 F' = P F with
+    P = mu nu (1+z^2) - (mu^2+nu^2) z + 2 bstar z (1-z^2)^2
+        + (alpha+1/2)(1-z)(1+z)^2 - (1/2)(1+z)(1-z)^2,
+    so c_{m+1} = [sum_k p_k c_{m-k} + 2(m-1) c_{m-1} - (m-3) c_{m-3}] / (m+1)
+    (Flajolet & Sedgewick, Analytic Combinatorics, App. B.4). It runs in
+    decimal arithmetic, whose exponent range needs no rescaling. Doubles
+    do not suffice: in the oscillatory bulk they lost up to 6e-8 in log
+    while the estimate below read under 1e-11. The error estimate is
+    (n+1) u kappa, with u the unit roundoff and kappa the sum of
+    |products| over |sum| of the last step, each p_k split into its
+    separate terms; an exact zero gives kappa = inf.
     """
-    mu, nu = mp.mpf(params.mu), mp.mpf(params.nu)
-    cross = mu * nu
-    half_sq = (mu * mu + nu * nu) / 2
-    bstar = mp.mpf(params.bstar)
-    power = mp.mpf(params.alpha) + mp.mpf("0.5")
-    r = mp.mpf(radius)
-    n_log_r = n * mp.log(r)
-    total = mp.mpc(0)
-    log_max = mp.mpf("-inf")
-    for k in range(points):
-        frac = mp.mpf(2 * k) / points - 1
-        zk = r * mp.expjpi(frac)
-        w = zk / (1 - zk * zk)
-        expo = (cross * w - half_sq * zk * w + bstar * zk * zk
-                - power * mp.log(1 - zk) - mp.log(1 + zk) / 2 - n_log_r)
-        if expo.real > log_max:
-            log_max = expo.real
-        total += mp.exp(expo) * mp.expjpi(-n * frac)
-    return total / points, log_max
-
-
-def _extract_mp(job: ContourJob, xi_n: float, eta_n: float):
-    """Arbitrary-precision re-extraction for ill-conditioned contours.
-
-    Working precision is sized to the cancellation the average actually
-    suffers, escalating until at least 18 digits survive it.
-    """
-    params = job.params
-    dps = 40
-    while True:
-        with mp.workdps(dps):
-            mean, log_max = _mp_contour_mean(
-                params, job.n, job.points, job.radius
-            )
-            mag = abs(mean)
-            if mag == 0:
-                raise CancellationError(
-                    "contour average cancelled to exact zero", at=job
-                )
-            lost = max(0.0, float((log_max - mp.log(mag)) / mp.log(10)))
-            if dps - lost >= 18.0:
-                if abs(mean.imag) > IMAG_RESIDUE_TOL * mag:
-                    raise NumericalConsistencyError(
-                        f"imaginary residue persists at {dps} digits "
-                        f"for n = {job.n}",
-                        at=job,
-                    )
-                sign = 1 if mean.real > 0 else -1
-                log_value = float(
-                    mp.loggamma(job.n + 1) + mp.log(abs(mean.real))
-                )
-                log_cond = float(log_max - mp.log(abs(mean.real)))
-                break
-        if dps >= _MP_DPS_CAP:
-            # Measured loss tracks the working precision when the true
-            # coefficient is at or below noise (an exact zero, say), so
-            # escalation must stop somewhere.
-            raise CancellationError(
-                f"cancellation beyond {_MP_DPS_CAP} digits at n = {job.n}",
-                at=job,
-            )
-        dps = min(_MP_DPS_CAP, max(int(lost) + 25, 2 * dps))
-    condition = max(1.0, math.exp(min(log_cond, 709.0)))
-    return (scaled_from_log(sign, log_value),
-            SaddleData(xi_n, eta_n, float(log_max), condition))
+    with decimal.localcontext(_RECURRENCE_CONTEXT):
+        mu, nu, bstar = Decimal(params.mu), Decimal(params.nu), Decimal(params.bstar)
+        half = Decimal("0.5")
+        cross = mu * nu
+        squares = mu * mu + nu * nu
+        power = Decimal(params.alpha) + half
+        p0 = cross + power - half
+        p1 = 2 * bstar - squares + power + half
+        p2 = cross - power + half
+        p3 = -4 * bstar - power - half
+        p5 = 2 * bstar
+        window = (Decimal(1),) + (Decimal(0),) * 5
+        for m in range(n):
+            c0, c1, c2, c3, c4, c5 = window
+            total = (p0 * c0 + (p1 + 2 * (m - 1)) * c1 + p2 * c2
+                     + (p3 - (m - 3)) * c3 + p5 * c5)
+            window = (total / (m + 1), c0, c1, c2, c3, c4)
+        if total == 0:
+            return 0, -math.inf, math.inf
+        size = ((abs(cross) + power + half) * (abs(c0) + abs(c2))
+                + (squares + 2 * abs(bstar) + power + half + abs(2 * (m - 1))) * abs(c1)
+                + (4 * abs(bstar) + power + half + abs(m - 3)) * abs(c3)
+                + 2 * abs(bstar) * abs(c5))
+        unit = 0.5 * 10.0 ** (1 - _RECURRENCE_DIGITS)
+        error = (n + 1) * unit * float(size / abs(total))
+        return (1 if total > 0 else -1), float(abs(window[0]).ln()), error
 
 
 def edge_points(n: int, mu: float, nu: float):
@@ -337,7 +321,7 @@ def edge_scaled_full(alpha: float, bstar: float, mu: float, nu: float, n: int):
     mu_n, nu_n = edge_points(n, mu, nu)
     job = ContourJob.with_defaults(EgfParams(alpha, bstar, mu_n, nu_n), n)
     value, diag = extract_f(job)
-    lognorm = ScalingSpec.edge_lognorm(alpha, n, mu, nu)
+    lognorm = edge_lognorm(alpha, n, mu, nu)
     scaled = 0.0 if value.sign == 0 else value.sign * math.exp(value.log_mag - lognorm)
     return scaled, value, diag
 
@@ -372,7 +356,7 @@ def bulk_scaled_full(alpha: float, bstar: float, xi: float, mu: float,
         raise DomainError(f"bulk order n = {n} outside [1, {BULK_MAX_N}]")
     if abs(xi) > BULK_MAX_XI:
         raise DomainError(f"bulk position {xi} outside [-{BULK_MAX_XI}, {BULK_MAX_XI}]")
-    rho_xi = ScalingSpec.rho(xi)
+    rho_xi = rho(xi)
     root = math.sqrt(n)
     mu_n = root * xi + mu / (root * rho_xi)
     nu_n = root * xi + nu / (root * rho_xi)
@@ -389,7 +373,7 @@ def bulk_scaled_full(alpha: float, bstar: float, xi: float, mu: float,
             f"{CONDITION_LIMIT:.0e} at n = {n}",
             at=diag,
         )
-    lognorm = ScalingSpec.bulk_lognorm(alpha, n, xi, mu, nu)
+    lognorm = bulk_lognorm(alpha, n, xi, mu, nu)
     scaled = 0.0 if value.sign == 0 else value.sign * math.exp(value.log_mag - lognorm)
     return scaled, value, diag
 
@@ -418,9 +402,17 @@ def sigma_alpha(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
     behaviour pass edge-scaled points themselves.
     """
     if mu_pt == nu_pt:
-        # Definitionally the numerator equals either variance factor.
         return 1.0
     f_cross = _extract_at(alpha, bstar, mu_pt, nu_pt, n)
+    return sigma_from_cross(f_cross, alpha, bstar, mu_pt, nu_pt, n)
+
+
+def sigma_from_cross(f_cross: ScaledReal, alpha: float, bstar: float,
+                     mu_pt: float, nu_pt: float, n: int) -> float:
+    """sigma_alpha for a caller that already holds f_cross = f_n(mu_pt, nu_pt)."""
+    if mu_pt == nu_pt:
+        # Definitionally the numerator equals either variance factor.
+        return 1.0
     f_mumu = _extract_at(alpha, bstar, mu_pt, mu_pt, n)
     f_nunu = _extract_at(alpha, bstar, nu_pt, nu_pt, n)
     g_mu = char_poly_mean(n, mu_pt)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, List
 
 import numpy as np
@@ -30,20 +29,7 @@ from .numeric_core import (
     scaled_to_real_checked,
 )
 
-FAST_N_CUTOFF = 4096
-
 ORACLE_GRID = (-0.9, 0.2, 0.8)
-
-
-@dataclass
-class GroupResult:
-    name: str
-    failures: List[str]
-    seconds: float
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
 
 def _rel(a: float, b: float) -> float:

@@ -27,7 +27,6 @@ from .numeric_core import (
 
 __all__ = [
     "AiryPair",
-    "HermiteValue",
     "airy",
     "airy_contour",
     "hermite_phys",
@@ -50,17 +49,6 @@ DEFAULT_AIRY_QUAD = QuadratureSpec(truncation_halfwidth=20.0, point_count=4000)
 class AiryPair:
     ai: float
     ai_prime: float
-
-
-@dataclass(frozen=True)
-class HermiteValue:
-    """Physicists' Hermite polynomial value in scaled form."""
-
-    value: ScaledReal
-
-    @classmethod
-    def compute(cls, n: int, x: float) -> "HermiteValue":
-        return cls(hermite_phys(n, x))
 
 
 def _check_airy_domain(x: float) -> None:

@@ -44,7 +44,6 @@ __all__ = [
     "sample_matrix",
     "char_poly_value",
     "estimate_f",
-    "estimate_sigma",
     "estimate_sigma_detail",
 ]
 
@@ -342,8 +341,3 @@ def estimate_sigma_detail(cfg: MCConfig, batches: int = 20):
         spread = float(np.std(batch_vals, ddof=1)) / math.sqrt(batches)
         out.append((value, spread))
     return out
-
-
-def estimate_sigma(cfg: MCConfig):
-    """Correlation coefficient estimate at each configured point."""
-    return [value for value, _ in estimate_sigma_detail(cfg)]

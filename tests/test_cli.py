@@ -164,6 +164,24 @@ def test_corr_command(capsys):
         assert 0.0 < row["limit"] <= 1.0
 
 
+def test_corr_extracts_each_coefficient_once(monkeypatch, capsys):
+    # the row's raw value is the f_cross of the correlation, so one size
+    # costs three extractions: f_cross, f_mumu and f_nunu
+    from wigcorr import egf_engine
+
+    jobs = []
+    real = egf_engine.extract_f
+
+    def counting(job):
+        jobs.append(job)
+        return real(job)
+
+    monkeypatch.setattr(egf_engine, "extract_f", counting)
+    code, _, _ = run(capsys, ["corr", "--n", "16", "--nu", "1.0", "--deterministic"])
+    assert code == 0
+    assert len(jobs) == len(set(jobs)) == 3
+
+
 def test_bulk_flagged_rows(monkeypatch, capsys):
     def refuse(alpha, bstar, xi, mu, nu, n):
         raise CancellationError(

@@ -1,6 +1,10 @@
 """Contour extraction engine: coefficients, scalings, and refusal paths."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from wigcorr.exact_oracle import (
 )
 from wigcorr.kernels import airy_kernel, sine_kernel
 from wigcorr.numeric_core import ONE, scaled_to_real_checked
+from wigcorr.special_fn import gue_kernel
 
 
 def test_params_validation():
@@ -103,9 +108,10 @@ def test_extraction_radius_independence():
 
 
 def test_ill_conditioned_contour_reruns_exactly():
-    # radius 0.5 at n = 50 concentrates ~15 digits of cancellation; the
-    # high-precision rerun must agree with the default contour, which
-    # itself sits just over the rerun threshold
+    # radius 0.5 at n = 50 concentrates ~15 digits of cancellation and
+    # the default contour sits just over the rerun threshold; both
+    # contours report their own condition, and both values come from the
+    # f_n recurrence, so they must agree
     p = EgfParams(1.0, 0.0, 0.3, -0.2)
     a, da = extract_f(ContourJob.with_defaults(p, 50, radius=0.5))
     b, db = extract_f(ContourJob.with_defaults(p, 50))
@@ -120,6 +126,107 @@ def test_exactly_zero_coefficient_refused():
     # exact zero, so the engine must refuse rather than report noise
     with pytest.raises(CancellationError):
         extract_f(ContourJob.with_defaults(EgfParams(1.0, 0.0, 1.0, -1.0), 1))
+
+
+def _gue_log_f(n, mu, nu):
+    # log f_N = log(sqrt(2 pi) N!) + (mu^2+nu^2)/4 + log K_{N+1}(mu, nu)
+    kernel = gue_kernel(n + 1, mu, nu)
+    log_f = (0.5 * math.log(2.0 * math.pi) + math.lgamma(n + 1)
+             + (mu * mu + nu * nu) / 4.0 + kernel.log_mag)
+    return kernel.sign, log_f
+
+
+@pytest.mark.parametrize("mu, nu, n", [
+    (0.0, 0.0, 500),
+    (0.0, 0.0, 1999),
+    (0.3, 0.32, 64),
+    (-0.45, -0.41, 128),
+    (0.1, 0.13, 256),
+])
+def test_recurrence_route_matches_gue_kernel(mu, nu, n):
+    # these contours cancel past the rerun threshold, so the value comes
+    # from the recurrence; it must meet the GUE kernel link at the 1e-8
+    # of the acceptance gate
+    value, diag = extract_f(ContourJob.with_defaults(EgfParams(1.0, 0.0, mu, nu), n))
+    assert diag.condition > MP_CONDITION_AT
+    sign, log_f = _gue_log_f(n, mu, nu)
+    assert value.sign == sign
+    assert abs(value.log_mag - log_f) <= 1e-8
+
+
+@pytest.mark.parametrize("mu, nu, n", [
+    (1.0, -1.0 + 1e-9, 2),
+    (1.0, -(1.0 + 1e-12), 1),
+])
+def test_near_zero_coefficient_refused_or_exact(mu, nu, n):
+    # f_n is within 1e-9 of a zero or closer: the engine may refuse, but
+    # a value it returns must match a 50-digit Taylor coefficient
+    import mpmath as mp
+
+    try:
+        value, _ = extract_f(ContourJob.with_defaults(EgfParams(1.0, 0.0, mu, nu), n))
+    except CancellationError:
+        return
+    with mp.workdps(50):
+        a, b = mp.mpf(mu), mp.mpf(nu)
+
+        def egf(z):
+            return mp.exp(a * b * z / (1 - z * z)
+                          - (a * a + b * b) / 2 * z * z / (1 - z * z)
+                          - mp.mpf(1.5) * mp.log(1 - z) - mp.log(1 + z) / 2)
+
+        want = float(mp.taylor(egf, 0, n)[n] * mp.factorial(n))
+    assert scaled_to_real_checked(value) == pytest.approx(want, rel=1e-10)
+
+
+def test_recurrence_route_holds_in_the_oscillatory_bulk():
+    # deep in the bulk, a double-precision run of the recurrence loses
+    # 5e-8 here while its error estimate reads 1e-12. Reference: the
+    # Christoffel-Darboux form of the GUE value at 50 digits,
+    # f_n = [p_{n+1}(mu) p_n(nu) - p_n(mu) p_{n+1}(nu)] / (mu - nu)
+    # with monic Hermite polynomials p_k
+    import mpmath as mp
+
+    n, xi = 1500, 1.2
+    root = math.sqrt(n)
+    mu = root * xi + 0.5 / (root * rho(xi))
+    nu = root * xi - 0.5 / (root * rho(xi))
+    value, diag = extract_f(ContourJob.with_defaults(EgfParams(1.0, 0.0, mu, nu), n))
+    assert diag.condition > MP_CONDITION_AT
+    with mp.workdps(50):
+        a, b = mp.mpf(mu), mp.mpf(nu)
+
+        def monic(k, x):
+            return mp.hermite(k, x / mp.sqrt(2)) / mp.sqrt(2) ** k
+
+        want = (monic(n + 1, a) * monic(n, b) - monic(n, a) * monic(n + 1, b)) / (a - b)
+        assert value.sign == (1 if want > 0 else -1)
+        assert abs(value.log_mag - float(mp.log(abs(want)))) <= 1e-10
+
+
+def test_fallback_runs_without_mpmath():
+    # mpmath is a test dependency only: the package, fallback included,
+    # must import and run with mpmath unimportable
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import wigcorr, wigcorr.cli\n"
+        "from wigcorr.egf_engine import ContourJob, EgfParams, extract_f\n"
+        "job = ContourJob.with_defaults(EgfParams(1.0, 0.0, 0.3, -0.2), 50)\n"
+        "value, diag = extract_f(job)\n"
+        "print(value.sign, repr(value.log_mag), repr(diag.condition))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    job = ContourJob.with_defaults(EgfParams(1.0, 0.0, 0.3, -0.2), 50)
+    value, _ = extract_f(job)
+    assert float(out[2]) > MP_CONDITION_AT
+    assert (int(out[0]), float(out[1])) == (value.sign, value.log_mag)
 
 
 def test_edge_points_layout():
