@@ -60,12 +60,13 @@ BULK_MAX_XI = 1.8
 IMAG_RESIDUE_TOL = 1e-8
 CONDITION_LIMIT = 1e12
 
-# The double-precision contour average loses about one digit per decade
-# of condition number (measured relative error 5e-18 to 2.5e-15 times
-# the condition). Above MP_CONDITION_AT, or with an imaginary residue,
-# orders up to MP_MAX_N are recomputed by the f_n recurrence instead;
-# above MP_MAX_N the contour value stands alone.
-MP_CONDITION_AT = 1e7
+# The double-precision contour average loses up to 2.5e-15 times its
+# condition number in relative error (measured at raw bulk points), so
+# a trigger at 1e4 keeps contour values within about 2.5e-11. Above
+# MP_CONDITION_AT, or with an imaginary residue, orders up to MP_MAX_N
+# are recomputed by the f_n recurrence instead; above MP_MAX_N the
+# contour value stands alone.
+MP_CONDITION_AT = 1e4
 MP_MAX_N = 4096
 # The recurrence refuses a value whose error estimate exceeds the
 # tolerance. Its true error was measured at up to 3.1e3 times the

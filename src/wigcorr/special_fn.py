@@ -126,10 +126,24 @@ def hermite_phys(n: int, x: float) -> ScaledReal:
         raise DomainError(f"hermite_phys argument must be finite, got {x!r}")
     if n == 0:
         return ONE
-    signs, logs = _hermite_seq(n, x)
-    if signs[n] == 0.0:
+    # The recurrence of _hermite_seq, keeping only the running pair. After
+    # a renormalization the pair's largest modulus is 1, so only h_cur can
+    # pass the threshold and dividing by it matches the max rule there.
+    tx = 2.0 * x
+    h_prev, h_cur = 1.0, tx
+    scale = 0.0
+    for k in range(1, n):
+        h_prev, h_cur = h_cur, tx * h_cur - 2.0 * k * h_prev
+        m = abs(h_cur)
+        if m > _RENORM_AT:
+            h_prev /= m
+            h_cur /= m
+            scale += math.log(m)
+    if not math.isfinite(h_cur):
+        raise DomainError(f"hermite_phys({n}, {x!r}) overflows double range")
+    if h_cur == 0.0:
         return ZERO
-    return scaled_from_log(int(signs[n]), float(logs[n]))
+    return scaled_from_log(1 if h_cur > 0 else -1, math.log(abs(h_cur)) + scale)
 
 
 def char_poly_mean(n: int, lam: float) -> ScaledReal:

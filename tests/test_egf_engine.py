@@ -109,7 +109,7 @@ def test_extraction_radius_independence():
 
 def test_ill_conditioned_contour_reruns_exactly():
     # radius 0.5 at n = 50 concentrates ~15 digits of cancellation and
-    # the default contour sits just over the rerun threshold; both
+    # the default contour cancels by ~5e7, over the rerun threshold; both
     # contours report their own condition, and both values come from the
     # f_n recurrence, so they must agree
     p = EgfParams(1.0, 0.0, 0.3, -0.2)
@@ -202,6 +202,35 @@ def test_recurrence_route_holds_in_the_oscillatory_bulk():
         want = (monic(n + 1, a) * monic(n, b) - monic(n, a) * monic(n + 1, b)) / (a - b)
         assert value.sign == (1 if want > 0 else -1)
         assert abs(value.log_mag - float(mp.log(abs(want)))) <= 1e-10
+
+
+def test_moderately_conditioned_contour_reruns_by_recurrence():
+    # at this raw bulk point the contour cancels by about 1e6: under a
+    # rerun trigger of 1e7 the double average was returned, off by 1.3e-9
+    # in log. Reference: the f_n recurrence in 60-digit mpmath
+    import mpmath as mp
+
+    n, xi = 512, 1.8
+    root = math.sqrt(n)
+    mu = root * xi - 0.5 / (root * rho(xi))
+    nu = root * xi + 0.1 / (root * rho(xi))
+    value, diag = extract_f(ContourJob.with_defaults(EgfParams(1.0, 0.0, mu, nu), n))
+    assert 1e4 < diag.condition < 1e7
+    with mp.workdps(60):
+        a, b = mp.mpf(mu), mp.mpf(nu)
+        # P = ab (1+z^2) - (a^2+b^2) z + 3/2 (1+z-z^2-z^3) - 1/2 (1-z-z^2+z^3)
+        poly = [a * b + 1, -(a * a + b * b) + 2, a * b - 1, mp.mpf(-2)]
+        c = [mp.mpf(1)]
+        for m in range(n):
+            total = sum(p * c[m - k] for k, p in enumerate(poly) if m >= k)
+            if m >= 1:
+                total += 2 * (m - 1) * c[m - 1]
+            if m >= 3:
+                total -= (m - 3) * c[m - 3]
+            c.append(total / (m + 1))
+        assert value.sign == (1 if c[n] > 0 else -1)
+        want = float(mp.log(abs(c[n])) + mp.loggamma(n + 1))
+    assert abs(value.log_mag - want) <= 1e-10
 
 
 def test_fallback_runs_without_mpmath():

@@ -166,6 +166,23 @@ def test_diag_recursion_near_box_edge():
     assert lhs > 0.0
 
 
+@pytest.mark.parametrize("alpha, x", [(1.0, -2.0), (2.0, 0.5), (1.5, 9.0), (3.0, 3.0)])
+def test_diag_recursion_shares_one_grid(alpha, x):
+    # one fine-grid evaluation serves both trapezoid sums; the result
+    # must equal the bits of two separate coarse and fine evaluations
+    cutoff = min(x + 40.0, ARG_BOX)
+    span = cutoff - x
+
+    def trap(count):
+        vals = i_alpha_diagonal(alpha - 1.0, np.linspace(x, cutoff, count + 1))
+        return (span / count) * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+
+    count = max(64, int(round(span / 0.04)))
+    lhs = i_alpha(alpha, x, x)
+    rhs = (4.0 * trap(2 * count) - trap(count)) / 3.0
+    assert diag_recursion_check(alpha, x) == (lhs, rhs)
+
+
 def test_diag_recursion_guards():
     with pytest.raises(DomainError):
         diag_recursion_check(0.5, 0.0)

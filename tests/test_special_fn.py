@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from wigcorr.errors import DomainError
-from wigcorr.numeric_core import QuadratureSpec, scaled_to_real_checked
+from wigcorr.numeric_core import ZERO, QuadratureSpec, scaled_to_real_checked
 from wigcorr.special_fn import (
     AIRY_DOMAIN,
+    _hermite_seq,
     airy,
     airy_contour,
     char_poly_mean,
@@ -80,6 +81,35 @@ def test_hermite_domain_guard():
         hermite_phys(-1, 0.0)
     with pytest.raises(DomainError):
         hermite_phys(2, math.inf)
+
+
+@pytest.mark.parametrize("n, x", [
+    (600, 3.0),
+    (5000, (2.0 * math.sqrt(5000) + 1.5 * 5000 ** (-1.0 / 6.0)) / math.sqrt(2.0)),
+    (10 ** 5, 1.234),
+    (7, 0.0),
+    (999, -2.5),
+    (40, -150.0),
+])
+def test_hermite_phys_is_the_last_entry_of_the_sequence(n, x):
+    # hermite_phys keeps only the running pair of the recurrence that
+    # _hermite_seq stores in full; both must give the same bits
+    signs, logs = _hermite_seq(n, x)
+    val = hermite_phys(n, x)
+    if signs[n] == 0.0:
+        assert val is ZERO
+    else:
+        assert val.sign == int(signs[n])
+        assert val.log_mag == float(logs[n])
+
+
+def test_hermite_overflow_names_the_input():
+    # a step that leaves double range used to surface as a NaN log
+    # magnitude; it must be refused with the degree and the argument
+    with pytest.raises(DomainError, match=r"hermite_phys\(5, 1e\+200\)"):
+        hermite_phys(5, 1e200)
+    with pytest.raises(DomainError, match="overflows"):
+        char_poly_mean(3, 1e120)
 
 
 def test_char_poly_mean_small_orders():
