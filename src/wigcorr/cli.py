@@ -552,7 +552,8 @@ def _build_parser() -> _Parser:
     p_mc.add_argument("--samples", type=int, default=10000,
                       help="Monte Carlo sample count (default 10000)")
     p_mc.add_argument("--seed", type=int, default=0,
-                      help="base seed of the counter-mode generator")
+                      help="base seed of the counter-mode generator, in "
+                           "[0, 2**128)")
     p_mc.add_argument("--stat", choices=("f", "sigma"), default="f",
                       help="estimate the correlation value or the "
                            "correlation coefficient")

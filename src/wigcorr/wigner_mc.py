@@ -1,9 +1,14 @@
 """Monte Carlo sampling of Wigner ensembles.
 
-Matrices are drawn from counter-mode substreams keyed by sample index,
-so estimates are bit-identical for a fixed seed no matter how sampling
-is chunked or threaded. Determinant values live in log space from the
-moment they are computed; sample means use a running max-exponent shift.
+Sample i is drawn from the Philox counter-mode substream at counter
+[0, 0, 0, i] of the seed's key, so estimates are bit-identical for a
+fixed seed no matter how sampling is chunked or threaded. A chunk of
+samples reuses one Philox, moved to each sample's counter by assigning
+its state, draws each sample's entries in one call and assembles the
+whole stack of matrices at once; sample_rng and sample_matrix give the
+same matrix one sample at a time. Determinant values live in log space
+from the moment they are computed; sample means use a running
+max-exponent shift.
 
 Validation-only at small n by design: the relative spread of the
 determinant product grows with matrix size, so convergence claims about
@@ -49,6 +54,7 @@ __all__ = [
 
 MC_MAX_N = 256
 MC_MIN_SAMPLES = 100
+SEED_LIMIT = 1 << 128  # a Philox key is two 64-bit words
 DET_IMAG_TOL = 1e-7
 
 DIST_KINDS = ("gaussian", "rademacher", "uniform", "two_point")
@@ -129,6 +135,11 @@ class MCConfig:
             raise DomainError(f"matrix size n = {self.n} outside [1, {MC_MAX_N}]")
         if self.samples < MC_MIN_SAMPLES:
             raise DomainError(f"need at least {MC_MIN_SAMPLES} samples")
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or not 0 <= self.seed < SEED_LIMIT):
+            raise DomainError(
+                f"seed must be an integer in [0, 2**128), got {self.seed!r}"
+            )
         want = 0.5 if self.ensemble == EnsembleKind.HERMITIAN else 1.0
         if self.dist.target_variance != want:
             raise DomainError(
@@ -166,18 +177,57 @@ def sample_rng(seed: int, index: int) -> Generator:
     return Generator(Philox(key=seed, counter=[0, 0, 0, index]))
 
 
+def _draw_width(cfg: MCConfig) -> int:
+    """Entries one sample draws: the diagonal, then an n x n block of
+    upper real parts, then (Hermitian) one of upper imaginary parts."""
+    blocks = 2 if cfg.ensemble == EnsembleKind.HERMITIAN else 1
+    return cfg.n + blocks * cfg.n * cfg.n
+
+
+def _assemble(cfg: MCConfig, draws: np.ndarray) -> np.ndarray:
+    """Stack of matrices from draws, one row of _draw_width entries per
+    sample. Only the strict upper triangle of each n x n block is used."""
+    n = cfg.n
+    count = draws.shape[0]
+    blocks = draws[:, n:].reshape(count, -1, n, n)
+    strict_upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    hermitian = cfg.ensemble == EnsembleKind.HERMITIAN
+    mats = np.empty((count, n, n), dtype=complex if hermitian else float)
+    upper = np.where(strict_upper, blocks[:, 0], 0.0)
+    np.add(upper, upper.swapaxes(1, 2), out=mats.real)
+    if hermitian:
+        upper = np.where(strict_upper, blocks[:, 1], 0.0)
+        np.subtract(upper, upper.swapaxes(1, 2), out=mats.imag)
+    diag = np.arange(n)
+    mats.real[:, diag, diag] = math.sqrt(2.0) * draws[:, :n]
+    # The mirrored triangle sums of the reference layout never leave a
+    # -0.0; adding 0.0 does the same, so the bits match it exactly.
+    mats += 0.0
+    return mats
+
+
 def sample_matrix(cfg: MCConfig, rng: Generator) -> np.ndarray:
     """One ensemble matrix. Draw order is fixed (diagonal, upper real,
     then upper imaginary for the Hermitian case) so streams are stable."""
-    n = cfg.n
-    diag = cfg.dist.draw(rng, n)
-    re = cfg.dist.draw(rng, (n, n))
-    if cfg.ensemble == EnsembleKind.HERMITIAN:
-        im = cfg.dist.draw(rng, (n, n))
-        upper = np.triu(re + 1j * im, 1)
-        return upper + upper.conj().T + np.diag(math.sqrt(2.0) * diag)
-    upper = np.triu(re, 1)
-    return upper + upper.T + np.diag(math.sqrt(2.0) * diag)
+    return _assemble(cfg, cfg.dist.draw(rng, (1, _draw_width(cfg))))[0]
+
+
+def _draw_chunk(cfg: MCConfig, start: int, count: int) -> np.ndarray:
+    """Matrices of samples start .. start + count - 1, bit-identical to
+    sample_matrix(cfg, sample_rng(cfg.seed, i)) for each sample i."""
+    bitgen = Philox(key=cfg.seed)
+    rng = Generator(bitgen)
+    # A fresh state with the counter set is what sample_rng builds;
+    # assigning it is several times cheaper than a new generator.
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    width = _draw_width(cfg)
+    draws = np.empty((count, width))
+    for c in range(count):
+        counter[3] = start + c
+        bitgen.state = state
+        draws[c] = cfg.dist.draw(rng, width)
+    return _assemble(cfg, draws)
 
 
 def char_poly_value(matrix: np.ndarray, lam: float) -> ScaledReal:
@@ -206,9 +256,12 @@ def char_poly_value(matrix: np.ndarray, lam: float) -> ScaledReal:
     return scaled_from_log(real_sign, float(logabs))
 
 
-def _chunk_size(n: int) -> int:
-    # Keep one chunk of matrices around 64 MB.
-    return max(64, min(4096, (1 << 22) // max(1, n * n)))
+def _chunk_size(cfg: MCConfig) -> int:
+    # A chunk holds its raw draws and then its matrix stack; keep the two
+    # together within 64 MB (the draws are freed before factorization).
+    itemsize = 16 if cfg.ensemble == EnsembleKind.HERMITIAN else 8
+    per_sample = 8 * _draw_width(cfg) + itemsize * cfg.n * cfg.n
+    return min(4096, (64 << 20) // per_sample)
 
 
 def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
@@ -220,17 +273,15 @@ def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
     n, samples = cfg.n, cfg.samples
     hermitian = cfg.ensemble == EnsembleKind.HERMITIAN
     lam_arr = np.asarray(lambdas, dtype=float)
-    signs = np.empty((samples, lam_arr.size), dtype=complex if hermitian else float)
-    logs = np.empty((samples, lam_arr.size))
-    chunk = _chunk_size(n)
     dtype = complex if hermitian else float
+    signs = np.empty((samples, lam_arr.size), dtype=dtype)
+    logs = np.empty((samples, lam_arr.size))
+    chunk = _chunk_size(cfg)
     eye = np.eye(n, dtype=dtype)
 
     def run_chunk(start: int) -> None:
         count = min(chunk, samples - start)
-        mats = np.empty((count, n, n), dtype=dtype)
-        for c in range(count):
-            mats[c] = sample_matrix(cfg, sample_rng(cfg.seed, start + c))
+        mats = _draw_chunk(cfg, start, count)
         for j, lam in enumerate(lam_arr):
             sgn, logabs = np.linalg.slogdet(mats - lam * eye)
             signs[start:start + count, j] = sgn

@@ -226,6 +226,16 @@ def test_bad_flag_value_exits_three(capsys):
     assert info.value.code == 3
 
 
+def test_negative_seed_exits_three(capsys):
+    code, out, err = run(capsys, [
+        "mc", "--n", "2", "--samples", "200", "--seed", "-1",
+        "--mu", "0.3", "--nu", "-0.7",
+    ])
+    assert code == 3
+    assert out == ""
+    assert "seed" in err
+
+
 def test_selftest_dispatch(monkeypatch):
     calls = {}
 

@@ -14,6 +14,7 @@ from wigcorr.exact_oracle import (
 from wigcorr.egf_engine import sigma_alpha
 from wigcorr.numeric_core import scaled_to_real_checked
 from wigcorr.wigner_mc import (
+    DIST_KINDS,
     MC_MAX_N,
     EntryDist,
     MCConfig,
@@ -25,10 +26,41 @@ from wigcorr.wigner_mc import (
     sample_matrix,
     sample_rng,
     thread_count,
+    _assemble,
+    _chunk_size,
+    _collect_dets,
+    _draw_chunk,
 )
 
 HERM = EnsembleKind.HERMITIAN
 SYM = EnsembleKind.REAL_SYMMETRIC
+
+
+def _layout_reference(hermitian, diag, re, im):
+    """Reference layout: the strict upper triangle of the real (and
+    imaginary) block, mirrored, plus sqrt(2) times the diagonal."""
+    if hermitian:
+        upper = np.triu(re + 1j * im, 1)
+        return upper + upper.conj().T + np.diag(math.sqrt(2.0) * diag)
+    upper = np.triu(re, 1)
+    return upper + upper.T + np.diag(math.sqrt(2.0) * diag)
+
+
+def _reference_matrix(cfg, seed, index):
+    """One matrix from three separate draws (diagonal, upper real, upper
+    imaginary) on the sample's own generator."""
+    rng = sample_rng(seed, index)
+    n = cfg.n
+    diag = cfg.dist.draw(rng, n)
+    re = cfg.dist.draw(rng, (n, n))
+    im = cfg.dist.draw(rng, (n, n)) if cfg.ensemble == HERM else None
+    return _layout_reference(cfg.ensemble == HERM, diag, re, im)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8)
+    )
 
 
 def test_moments_of_builtin_laws():
@@ -90,6 +122,18 @@ def test_mc_config_validation():
         MCConfig(HERM, dist, 4, 1000, 0, points=((0.0,),))
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, 3.0, True, "7", None])
+def test_mc_config_rejects_bad_seed(seed):
+    with pytest.raises(DomainError):
+        MCConfig(HERM, dist_for("gaussian", HERM), 4, 1000, seed)
+
+
+def test_mc_config_accepts_full_key_range():
+    dist = dist_for("gaussian", HERM)
+    for seed in (0, 2 ** 64, 2 ** 128 - 1):
+        assert MCConfig(HERM, dist, 4, 1000, seed).seed == seed
+
+
 def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("RMT_THREADS", "3")
     assert thread_count() == 3
@@ -128,6 +172,49 @@ def test_sample_matrix_is_reproducible():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("kind", [HERM, SYM])
+@pytest.mark.parametrize("law", DIST_KINDS)
+def test_chunk_draw_is_bit_identical_to_per_sample_reference(kind, law):
+    for n in (1, 2, 4, 7):
+        cfg = MCConfig(kind, dist_for(law, kind, two_point_p=0.3), n, 1000, 2024)
+        start, count = 37, 5
+        stack = _draw_chunk(cfg, start, count)
+        assert stack.shape == (count, n, n)
+        for c in range(count):
+            one = sample_matrix(cfg, sample_rng(cfg.seed, start + c))
+            assert _same_bytes(stack[c], one), (n, c)
+            assert _same_bytes(one, _reference_matrix(cfg, cfg.seed, start + c))
+
+
+@pytest.mark.parametrize("kind", [HERM, SYM])
+def test_assembly_keeps_reference_signed_zeros(kind):
+    n = 3
+    cfg = MCConfig(kind, dist_for("gaussian", kind), n, 1000, 0)
+    blocks = 2 if kind == HERM else 1
+    draws = np.arange(1.0, 1.0 + n + blocks * n * n)
+    draws[::2] = -0.0
+    draws[1::4] = 0.0
+    diag, rest = draws[:n], draws[n:]
+    re = rest[:n * n].reshape(n, n)
+    im = rest[n * n:].reshape(n, n) if kind == HERM else None
+    got = _assemble(cfg, draws[None, :])[0]
+    assert _same_bytes(got, _layout_reference(kind == HERM, diag, re, im))
+
+
+def test_collect_dets_across_chunk_boundary():
+    cfg = MCConfig(HERM, dist_for("gaussian", HERM), 64, 1200, 9)
+    assert cfg.samples > 2 * _chunk_size(cfg)
+    lambdas = (0.0, 0.5)
+    signs, logs = _collect_dets(cfg, lambdas)
+    eye = np.eye(cfg.n)
+    for i in range(cfg.samples):
+        mat = _reference_matrix(cfg, cfg.seed, i)
+        for j, lam in enumerate(lambdas):
+            sgn, logabs = np.linalg.slogdet(mat - lam * eye)
+            assert signs[i, j] == np.sign(sgn.real)
+            assert logs[i, j] == logabs
+
+
 def test_char_poly_value_exact_cases():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     v = char_poly_value(x, 0.0)
@@ -151,7 +238,7 @@ def test_char_poly_value_rejects_rotated_determinant():
 
 
 def test_estimates_independent_of_thread_count(monkeypatch):
-    # 1200 samples at n = 64 crosses the 1024-sample chunk boundary, so
+    # 1200 samples at n = 64 span three chunks (510 samples each), so
     # this exercises multi-chunk stitching under both worker counts
     cfg = MCConfig(
         HERM, dist_for("gaussian", HERM), 64, 1200, 9, points=((0.0, 0.5),)
