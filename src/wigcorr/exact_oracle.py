@@ -33,6 +33,9 @@ __all__ = [
 
 ORACLE_F_MAX_N = 6
 ORACLE_MEAN_MAX_N = 7
+# sigma rows per block of oracle_f: a (rows, n!) complex block stays
+# under 1 MB at n = 6.
+_ORACLE_BLOCK_ROWS = 60
 
 _M2_TOL = 1e-12
 
@@ -117,6 +120,24 @@ def _perm_table(n: int):
     return table, signs
 
 
+@lru_cache(maxsize=8)
+def _perm_codes(n: int):
+    """Per-position state codes of every permutation, for `oracle_f`.
+
+    `fixed[i]` is true where the permutation fixes i. `pairs[k]` is
+    3*[p(i) = j] + [p(j) = i] for the k-th pair i < j in lexicographic
+    order. Codes add over the two permutations of a pair, so
+    `2*fixed_s + fixed_t` indexes the diagonal factor and
+    `pairs_s + pairs_t` = 3*k1 + k2 indexes the flattened 3 x 3 table of
+    the moment E[x^k1 conj(x)^k2].
+    """
+    table, _ = _perm_table(n)
+    fixed = [table[:, i] == i for i in range(n)]
+    pairs = [3 * (table[:, i] == j) + (table[:, j] == i)
+             for i in range(n) for j in range(i + 1, n)]
+    return fixed, pairs
+
+
 def _hermitian_pair_table(m2: float, m3: float, m4: float) -> np.ndarray:
     """E[(R + iI)^k1 (R - iI)^k2] for independent R, I sharing moments m_k.
 
@@ -137,40 +158,37 @@ def oracle_f(kind: EnsembleKind, moments: MomentProfile, n: int,
     """E[det(X - mu I) det(X - nu I)] for an n x n ensemble matrix.
 
     Sums sgn(sigma) sgn(tau) times the factorized expectation of the
-    entry monomial picked out by the permutation pair (sigma, tau). The
-    inner sum over tau is vectorized; cost grows like (n!)^2.
+    entry monomial picked out by the permutation pair (sigma, tau); cost
+    grows like (n!)^2. A block of sigma rows is evaluated against every
+    tau at once: each position's factor is looked up from the state
+    codes of the pair (`_perm_codes`), and the factors are multiplied in
+    the same order as a per-pair product, so the result does not depend
+    on the block size.
     """
     if not (1 <= n <= ORACLE_F_MAX_N):
         raise DomainError(f"oracle_f needs 1 <= n <= {ORACLE_F_MAX_N}, got {n}")
     _check_profile(kind, moments)
     m2, m3, m4 = moments.m2, moments.m3, moments.m4
-    table, signs = _perm_table(n)
-    hermitian = kind == EnsembleKind.HERMITIAN
-    if hermitian:
-        pair = _hermitian_pair_table(m2, m3, m4)
+    _, signs = _perm_table(n)
+    fixed, pairs = _perm_codes(n)
+    if kind == EnsembleKind.HERMITIAN:
+        ptab = _hermitian_pair_table(m2, m3, m4).ravel()
     else:
         powers = np.array([1.0, 0.0, m2, m3, m4])
-    diag_both = 2.0 * m2 + mu * nu
+        ptab = powers[np.add.outer(np.arange(3), np.arange(3))].ravel()
+    ptab = ptab.astype(complex)
+    dtab = np.array([1.0, -nu, -mu, 2.0 * m2 + mu * nu], dtype=complex)
 
     total = 0.0 + 0.0j
-    for sidx in range(len(signs)):
-        s = table[sidx]
-        factor = (signs[sidx] * signs).astype(complex)
-        for i in range(n):
-            on_diag = table[:, i] == i
-            if s[i] == i:
-                factor *= np.where(on_diag, diag_both, -mu)
-            else:
-                factor *= np.where(on_diag, -nu, 1.0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                k1 = (1 if s[i] == j else 0) + (table[:, i] == j)
-                k2 = (1 if s[j] == i else 0) + (table[:, j] == i)
-                if hermitian:
-                    factor *= pair[k1, k2]
-                else:
-                    factor *= powers[k1 + k2]
-        total += factor.sum()
+    for start in range(0, len(signs), _ORACLE_BLOCK_ROWS):
+        rows = slice(start, start + _ORACLE_BLOCK_ROWS)
+        factor = (signs[rows, None] * signs).astype(complex)
+        for code in fixed:
+            factor *= dtab.take(2 * code[rows, None] + code)
+        for code in pairs:
+            factor *= ptab.take(code[rows, None] + code)
+        for row_sum in factor.sum(axis=1):
+            total += row_sum
     if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
         raise DomainError(
             f"oracle accumulation lost realness: imag = {total.imag!r}"

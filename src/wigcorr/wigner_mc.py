@@ -345,7 +345,7 @@ def estimate_f(cfg: MCConfig):
     return out
 
 
-def _sigma_from_arrays(signs, logs, lambdas, mu, nu, n):
+def _sigma_from_arrays(signs, logs, lambdas, mu, nu, n, where):
     i_mu, i_nu = lambdas.index(mu), lambdas.index(nu)
     f_cross, _ = _mean_scaled(*_pair_samples(signs, logs, i_mu, i_nu))
     f_mumu, _ = _mean_scaled(*_pair_samples(signs, logs, i_mu, i_mu))
@@ -357,7 +357,7 @@ def _sigma_from_arrays(signs, logs, lambdas, mu, nu, n):
     var_nu = scaled_add(f_nunu, scaled_neg(scaled_mul(g_nu, g_nu)))
     if var_mu.sign <= 0 or var_nu.sign <= 0:
         raise DegenerateDenominatorError(
-            f"nonpositive variance estimate at point ({mu}, {nu})"
+            f"nonpositive variance estimate at point ({mu}, {nu}) in {where}"
         )
     if numer.sign == 0:
         return 0.0
@@ -381,14 +381,18 @@ def estimate_sigma_detail(cfg: MCConfig, batches: int = 20):
     out = []
     edges = np.linspace(0, cfg.samples, batches + 1, dtype=int)
     for mu, nu in cfg.points:
-        value = _sigma_from_arrays(signs, logs, lambdas, mu, nu, cfg.n)
-        batch_vals = [
-            _sigma_from_arrays(
-                signs[edges[b]:edges[b + 1]], logs[edges[b]:edges[b + 1]],
-                lambdas, mu, nu, cfg.n,
-            )
-            for b in range(batches)
-        ]
+        value = _sigma_from_arrays(
+            signs, logs, lambdas, mu, nu, cfg.n,
+            f"the whole sample ({cfg.samples} samples)",
+        )
+        batch_vals = []
+        for b in range(batches):
+            lo, hi = edges[b], edges[b + 1]
+            batch_vals.append(_sigma_from_arrays(
+                signs[lo:hi], logs[lo:hi], lambdas, mu, nu, cfg.n,
+                f"batch index {b} of {batches} batches ({hi - lo} samples; "
+                f"the whole-sample estimate is {value!r})",
+            ))
         spread = float(np.std(batch_vals, ddof=1)) / math.sqrt(batches)
         out.append((value, spread))
     return out

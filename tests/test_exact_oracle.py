@@ -1,5 +1,6 @@
 """Permutation-expansion oracle: exact small-n ground truth."""
 
+import numpy as np
 import pytest
 
 from wigcorr.errors import DomainError
@@ -12,9 +13,12 @@ from wigcorr.exact_oracle import (
     oracle_f,
     oracle_mean,
     rademacher_profile,
+    _hermitian_pair_table,
+    _perm_table,
 )
 from wigcorr.numeric_core import scaled_to_real_checked
 from wigcorr.special_fn import char_poly_mean
+from wigcorr.wigner_mc import dist_for, moments_of
 
 HERM = EnsembleKind.HERMITIAN
 SYM = EnsembleKind.REAL_SYMMETRIC
@@ -111,6 +115,73 @@ def test_oracle_f_symmetric_in_arguments():
         assert oracle_f(kind, prof, 3, 0.8, -0.3) == pytest.approx(
             oracle_f(kind, prof, 3, -0.3, 0.8), rel=1e-13
         )
+
+
+def _reference_oracle_f(kind, moments, n, mu, nu):
+    # The per-sigma loop oracle_f ran before it was blocked, kept verbatim
+    # as the bit-identity reference (realness check and bounds omitted).
+    m2, m3, m4 = moments.m2, moments.m3, moments.m4
+    table, signs = _perm_table(n)
+    hermitian = kind == EnsembleKind.HERMITIAN
+    if hermitian:
+        pair = _hermitian_pair_table(m2, m3, m4)
+    else:
+        powers = np.array([1.0, 0.0, m2, m3, m4])
+    diag_both = 2.0 * m2 + mu * nu
+
+    total = 0.0 + 0.0j
+    for sidx in range(len(signs)):
+        s = table[sidx]
+        factor = (signs[sidx] * signs).astype(complex)
+        for i in range(n):
+            on_diag = table[:, i] == i
+            if s[i] == i:
+                factor *= np.where(on_diag, diag_both, -mu)
+            else:
+                factor *= np.where(on_diag, -nu, 1.0)
+        for i in range(n):
+            for j in range(i + 1, n):
+                k1 = (1 if s[i] == j else 0) + (table[:, i] == j)
+                k2 = (1 if s[j] == i else 0) + (table[:, j] == i)
+                if hermitian:
+                    factor *= pair[k1, k2]
+                else:
+                    factor *= powers[k1 + k2]
+        total += factor.sum()
+    return float(total.real)
+
+
+def _bit_identity_profiles(kind):
+    laws = [moments_of(dist_for(law, kind))
+            for law in ("gaussian", "rademacher", "uniform")]
+    laws.append(moments_of(dist_for("two_point", kind, two_point_p=0.3)))
+    m2 = 0.5 if kind == HERM else 1.0
+    laws.append(MomentProfile(0.0, m2, -0.45, 2.4 * m2 * m2))
+    return laws
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", (HERM, SYM))
+def test_oracle_f_bit_identical_to_per_sigma_loop(kind, n):
+    # The blocked evaluation multiplies the same factors in the same order
+    # and sums the same rows in sigma order, so it must agree exactly:
+    # at distinct points, at mu = nu, and at mu nu = -alpha, where f_1 is
+    # an exact zero. n = 6 keeps one point (about 0.2 s per reference).
+    alpha = ensemble_alpha(kind)
+    points = [(0.3, -0.7), (0.5, 0.5), (-1.3, 2.0), (2.0, -0.25), (0.0, 0.0),
+              (alpha, -1.0)]
+    if n == 6:
+        points = points[:1]
+    profiles = _bit_identity_profiles(kind)
+    assert any(p.m3 != 0.0 for p in profiles)
+    for moments in profiles:
+        for mu, nu in points:
+            got = oracle_f(kind, moments, n, mu, nu)
+            assert got == _reference_oracle_f(kind, moments, n, mu, nu), (
+                moments, mu, nu
+            )
+    if n == 1:
+        assert oracle_f(kind, profiles[0], 1, alpha, -1.0) == 0.0
 
 
 def test_oracle_f_bounds():

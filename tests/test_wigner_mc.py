@@ -1,11 +1,16 @@
 """Sampling route: determinism, entry laws, and estimator sanity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from wigcorr.errors import DomainError, NumericalConsistencyError
+from wigcorr.errors import (
+    DegenerateDenominatorError,
+    DomainError,
+    NumericalConsistencyError,
+)
 from wigcorr.exact_oracle import (
     EnsembleKind,
     gaussian_profile,
@@ -286,6 +291,20 @@ def test_estimate_sigma_detail_batch_guard():
     cfg = MCConfig(HERM, dist_for("gaussian", HERM), 4, 100, 7)
     with pytest.raises(DomainError):
         estimate_sigma_detail(cfg, batches=25)
+
+
+def test_estimate_sigma_batch_failure_names_the_batch():
+    # The whole 200-sample estimate is fine (about 0.50); one 10-sample
+    # batch has a nonpositive variance, and the error must say so.
+    cfg = MCConfig(
+        HERM, dist_for("gaussian", HERM), 4, 200, 10, points=((0.3, -0.7),)
+    )
+    with pytest.raises(DegenerateDenominatorError) as info:
+        estimate_sigma_detail(cfg)
+    msg = str(info.value)
+    assert "at point (0.3, -0.7)" in msg
+    assert re.search(r"batch index \d+ of 20 batches \(10 samples;", msg)
+    assert "whole-sample estimate is 0.503" in msg
 
 
 def test_estimate_sigma_degenerate_point_is_unit():
