@@ -8,7 +8,8 @@ header row plus data, LF endings) or as a single JSON object carrying
 the same numeric payload together with parameters and diagnostics.
 
 Exit codes: 0 on success, 2 when a numerical consistency check fails,
-3 on bad arguments.
+3 on bad arguments, 141 (128 + SIGPIPE) when the reader closes stdout
+before the output ends.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -145,13 +147,14 @@ def _row(n: int, raw: ScaledReal, scaled: float, limit: float,
     )
 
 
-def _edge_kernel(alpha: float, mu: float, nu: float) -> float:
-    """Edge limit kernel of order alpha: closed form where one exists."""
+def _edge_kernel(alpha: float, mu: float, nu: float):
+    """Edge limit kernel of order alpha and the route that gave it: the
+    closed form where one exists, else the defining line integral."""
     if alpha == 1.0:
-        return airy_kernel(mu, nu)
+        return airy_kernel(mu, nu), "airy-kernel"
     if alpha == 2.0:
-        return b_kernel(mu, nu)
-    return i_alpha(alpha, mu, nu)
+        return b_kernel(mu, nu), "b-kernel"
+    return i_alpha(alpha, mu, nu), "line-quadrature"
 
 
 def _error_slope(ns: Sequence[int], errs: Sequence[float]) -> Optional[float]:
@@ -194,7 +197,7 @@ def _base_params(args, sizes: Optional[List[int]] = None,
 
 def cmd_edge(args) -> RunReport:
     sizes = _resolve_n_list(args)
-    limit = math.exp(args.bstar) * _edge_kernel(args.alpha, args.mu, args.nu)
+    limit = math.exp(args.bstar) * _edge_kernel(args.alpha, args.mu, args.nu)[0]
     rows = []
     for n in sizes:
         scaled, raw, diag = edge_scaled_full(
@@ -246,9 +249,9 @@ def cmd_bulk(args) -> RunReport:
 
 def cmd_corr(args) -> RunReport:
     sizes = _resolve_n_list(args)
-    off = _edge_kernel(args.alpha, args.mu, args.nu)
-    diag_mu = _edge_kernel(args.alpha, args.mu, args.mu)
-    diag_nu = _edge_kernel(args.alpha, args.nu, args.nu)
+    off, _ = _edge_kernel(args.alpha, args.mu, args.nu)
+    diag_mu, _ = _edge_kernel(args.alpha, args.mu, args.mu)
+    diag_nu, _ = _edge_kernel(args.alpha, args.nu, args.nu)
     if diag_mu <= 0.0 or diag_nu <= 0.0:
         raise DegenerateDenominatorError(
             f"limit kernel diagonal not positive at mu={args.mu}, nu={args.nu}"
@@ -269,13 +272,26 @@ def cmd_corr(args) -> RunReport:
     return RunReport("corr", _base_params(args, sizes), rows, diagnostics)
 
 
-def cmd_oracle(args) -> RunReport:
-    sizes = _resolve_n_list(args)
+def _ensemble_setup(args):
+    """Ensemble, entry law, its moments, and the alpha and bstar they fix."""
     kind = _ENSEMBLES[args.ensemble]
     dist = dist_for(_DISTS[args.dist], kind, args.two_point_p)
     moments = moments_of(dist)
-    alpha = ensemble_alpha(kind)
-    bstar = bstar_for(kind, moments)
+    return kind, dist, moments, ensemble_alpha(kind), bstar_for(kind, moments)
+
+
+def _ensemble_params(args, sizes: List[int], alpha: float, bstar: float,
+                     **extra) -> Dict[str, object]:
+    params = _base_params(args, sizes, alpha=alpha, bstar=bstar,
+                          ensemble=args.ensemble, dist=args.dist, **extra)
+    if args.dist == "two-point":
+        params["two_point_p"] = float(args.two_point_p)
+    return params
+
+
+def cmd_oracle(args) -> RunReport:
+    sizes = _resolve_n_list(args)
+    kind, _, moments, alpha, bstar = _ensemble_setup(args)
     rows = []
     for n in sizes:
         if n > ORACLE_F_MAX_N:
@@ -289,16 +305,10 @@ def cmd_oracle(args) -> RunReport:
         value, diag = extract_f(job)
         rows.append(_row(n, scaled_from_real(exact), exact,
                          scaled_to_real_checked(value), diag.condition))
-    params = _base_params(
-        args, sizes,
-        alpha=alpha,
-        bstar=bstar,
-        ensemble=args.ensemble,
-        dist=args.dist,
+    params = _ensemble_params(
+        args, sizes, alpha, bstar,
         moments={"m2": moments.m2, "m3": moments.m3, "m4": moments.m4},
     )
-    if args.dist == "two-point":
-        params["two_point_p"] = float(args.two_point_p)
     return RunReport("oracle", params, rows, {})
 
 
@@ -306,12 +316,8 @@ def cmd_kernel(args) -> RunReport:
     quad_value = i_alpha(args.alpha, args.mu, args.nu)
     if args.alpha == 0.0:
         closed, route = airy_product(args.mu, args.nu), "airy-product"
-    elif args.alpha == 1.0:
-        closed, route = airy_kernel(args.mu, args.nu), "airy-kernel"
-    elif args.alpha == 2.0:
-        closed, route = b_kernel(args.mu, args.nu), "b-kernel"
     else:
-        closed, route = quad_value, "line-quadrature"
+        closed, route = _edge_kernel(args.alpha, args.mu, args.nu)
     rows = [_row(0, scaled_from_real(closed), closed, quad_value, 1.0)]
     diagnostics = {
         "closed_form": route,
@@ -333,11 +339,7 @@ def _mc_reference(kind: EnsembleKind, moments, alpha: float, bstar: float,
 
 def cmd_mc(args) -> RunReport:
     sizes = _resolve_n_list(args)
-    kind = _ENSEMBLES[args.ensemble]
-    dist = dist_for(_DISTS[args.dist], kind, args.two_point_p)
-    moments = moments_of(dist)
-    alpha = ensemble_alpha(kind)
-    bstar = bstar_for(kind, moments)
+    kind, dist, moments, alpha, bstar = _ensemble_setup(args)
     rows = []
     compare = []
     for n in sizes:
@@ -372,18 +374,12 @@ def cmd_mc(args) -> RunReport:
             rows.append(_row(n, scaled_from_real(value), value, reference,
                              spread))
             compare.append({"N": int(n), "batch_spread": float(spread)})
-    params = _base_params(
-        args, sizes,
-        alpha=alpha,
-        bstar=bstar,
-        ensemble=args.ensemble,
-        dist=args.dist,
+    params = _ensemble_params(
+        args, sizes, alpha, bstar,
         samples=int(args.samples),
         seed=int(args.seed),
         stat=args.stat,
     )
-    if args.dist == "two-point":
-        params["two_point_p"] = float(args.two_point_p)
     return RunReport("mc", params, rows, {"comparison": compare})
 
 
@@ -571,17 +567,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            return selftest_run(fast=args.fast)
-        start = time.perf_counter()
-        report = _HANDLERS[args.command](args)
-        if not args.deterministic:
-            report.diagnostics["elapsed_seconds"] = round(
-                time.perf_counter() - start, 6
-            )
-        text = (render_csv(report) if args.format == "csv"
-                else render_json(report))
-        _emit(text, args.out)
-        return report.exit_code
+            status = selftest_run(fast=args.fast)
+        else:
+            start = time.perf_counter()
+            report = _HANDLERS[args.command](args)
+            if not args.deterministic:
+                report.diagnostics["elapsed_seconds"] = round(
+                    time.perf_counter() - start, 6
+                )
+            text = (render_csv(report) if args.format == "csv"
+                    else render_json(report))
+            _emit(text, args.out)
+            status = report.exit_code
+        # A closed pipe then shows here, not in the flush at exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader has all the output it wants. Point stdout at devnull
+        # so the flush at interpreter exit cannot raise again.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except DomainError as exc:
         print(f"wigcorr: {exc}", file=sys.stderr)
         return 3

@@ -19,21 +19,9 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import (
-    CancellationError,
-    DegenerateDenominatorError,
-    DomainError,
-    NumericalConsistencyError,
-)
-from .numeric_core import (
-    ONE,
-    ScaledReal,
-    scaled_add,
-    scaled_from_log,
-    scaled_mul,
-    scaled_neg,
-)
-from .special_fn import char_poly_mean
+from .errors import CancellationError, DomainError, NumericalConsistencyError
+from .numeric_core import ONE, ScaledReal, scaled_from_log
+from .special_fn import sigma_from_moments
 
 __all__ = [
     "EgfParams",
@@ -47,7 +35,6 @@ __all__ = [
     "edge_points",
     "edge_scaled_f",
     "edge_scaled_full",
-    "bulk_scaled_f",
     "bulk_scaled_full",
     "sigma_alpha",
     "sigma_from_cross",
@@ -136,24 +123,20 @@ class ContourJob:
 
     @classmethod
     def with_defaults(cls, params: EgfParams, n: int,
-                      radius: Optional[float] = None,
-                      points: Optional[int] = None) -> "ContourJob":
+                      radius: Optional[float] = None) -> "ContourJob":
         return cls(
             params=params,
             n=n,
             radius=default_radius(n) if radius is None else radius,
-            points=default_points(n) if points is None else points,
+            points=default_points(n),
         )
 
 
 @dataclass(frozen=True)
 class SaddleData:
-    """Diagnostics of one extraction: midpoint/halfgap of the evaluation
-    points, the log-space shift, and max |integrand| / |result|."""
+    """Diagnostics of one extraction: the contour's cancellation,
+    max |integrand| / |result|."""
 
-    xi_n: float
-    eta_n: float
-    shift: float
     condition: float
 
 
@@ -222,10 +205,8 @@ def extract_f(job: ContourJob):
     contour's cancellation.
     """
     params = job.params
-    xi_n = 0.5 * (params.mu + params.nu)
-    eta_n = 0.5 * (params.mu - params.nu)
     if job.n == 0:
-        return ONE, SaddleData(xi_n, eta_n, 0.0, 1.0)
+        return ONE, SaddleData(1.0)
     t = -math.pi + 2.0 * math.pi * np.arange(job.points) / job.points
     z = job.radius * np.exp(1j * t)
     expo = egf_eval(params, z) - job.n * math.log(job.radius) - 1j * job.n * t
@@ -247,7 +228,7 @@ def extract_f(job: ContourJob):
             )
         condition = max(1.0, math.exp(min(shift - log_c, 709.0)))
         value = scaled_from_log(sign, float(gammaln(job.n + 1)) + log_c)
-        return value, SaddleData(xi_n, eta_n, shift, condition)
+        return value, SaddleData(condition)
     if mag == 0.0:
         raise CancellationError("contour average cancelled to exact zero")
     if abs(mean.imag) > IMAG_RESIDUE_TOL * mag:
@@ -261,7 +242,7 @@ def extract_f(job: ContourJob):
         1 if mean.real > 0 else -1,
         float(gammaln(job.n + 1)) + shift + math.log(abs(mean.real)),
     )
-    return value, SaddleData(xi_n, eta_n, shift, condition)
+    return value, SaddleData(condition)
 
 
 def _recurrence_f(params: EgfParams, n: int):
@@ -379,14 +360,6 @@ def bulk_scaled_full(alpha: float, bstar: float, xi: float, mu: float,
     return scaled, value, diag
 
 
-def bulk_scaled_f(alpha: float, bstar: float, xi: float, mu: float,
-                  nu: float, n: int) -> float:
-    """Bulk-scaled correlation value; approaches exp(bstar) times the
-    sine-type kernel of the ensemble."""
-    scaled, _, _ = bulk_scaled_full(alpha, bstar, xi, mu, nu, n)
-    return scaled
-
-
 def _extract_at(alpha: float, bstar: float, mu: float, nu: float, n: int) -> ScaledReal:
     job = ContourJob.with_defaults(EgfParams(alpha, bstar, mu, nu), n)
     value, _ = extract_f(job)
@@ -395,12 +368,10 @@ def _extract_at(alpha: float, bstar: float, mu: float, nu: float, n: int) -> Sca
 
 def sigma_alpha(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
                 n: int) -> float:
-    """Correlation coefficient of the two characteristic-polynomial values.
-
-    (f - g g) / sqrt((f_mumu - g_mu^2)(f_nunu - g_nu^2)) with every large
-    quantity held in scaled form and the differences formed by scaled
-    addition. Evaluation points are raw arguments; callers studying edge
-    behaviour pass edge-scaled points themselves.
+    """Correlation coefficient of the two characteristic-polynomial values,
+    from extracted second moments (see special_fn.sigma_from_moments).
+    Evaluation points are raw arguments; callers studying edge behaviour
+    pass edge-scaled points themselves.
     """
     if mu_pt == nu_pt:
         return 1.0
@@ -416,17 +387,7 @@ def sigma_from_cross(f_cross: ScaledReal, alpha: float, bstar: float,
         return 1.0
     f_mumu = _extract_at(alpha, bstar, mu_pt, mu_pt, n)
     f_nunu = _extract_at(alpha, bstar, nu_pt, nu_pt, n)
-    g_mu = char_poly_mean(n, mu_pt)
-    g_nu = char_poly_mean(n, nu_pt)
-    numer = scaled_add(f_cross, scaled_neg(scaled_mul(g_mu, g_nu)))
-    var_mu = scaled_add(f_mumu, scaled_neg(scaled_mul(g_mu, g_mu)))
-    var_nu = scaled_add(f_nunu, scaled_neg(scaled_mul(g_nu, g_nu)))
-    if var_mu.sign <= 0 or var_nu.sign <= 0:
-        raise DegenerateDenominatorError(
-            f"nonpositive variance factor at n = {n}, points "
-            f"({mu_pt}, {nu_pt})"
-        )
-    if numer.sign == 0:
-        return 0.0
-    log_ratio = numer.log_mag - 0.5 * (var_mu.log_mag + var_nu.log_mag)
-    return numer.sign * math.exp(log_ratio)
+    return sigma_from_moments(
+        n, mu_pt, nu_pt, f_cross, f_mumu, f_nunu,
+        f"nonpositive variance factor at n = {n}, points ({mu_pt}, {nu_pt})",
+    )

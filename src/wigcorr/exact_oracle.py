@@ -11,7 +11,6 @@ n.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -27,12 +26,11 @@ __all__ = [
     "rademacher_profile",
     "bstar_for",
     "ensemble_alpha",
+    "ensemble_variance",
     "oracle_f",
-    "oracle_mean",
 ]
 
 ORACLE_F_MAX_N = 6
-ORACLE_MEAN_MAX_N = 7
 # sigma rows per block of oracle_f: a (rows, n!) complex block stays
 # under 1 MB at n = 6.
 _ORACLE_BLOCK_ROWS = 60
@@ -71,24 +69,18 @@ class MomentProfile:
 
 def gaussian_profile(kind: EnsembleKind) -> MomentProfile:
     """Moments of a centered Gaussian at the variance the ensemble fixes."""
-    if kind == EnsembleKind.HERMITIAN:
-        return MomentProfile(0.0, 0.5, 0.0, 0.75)
-    return MomentProfile(0.0, 1.0, 0.0, 3.0)
+    m2 = ensemble_variance(kind)
+    return MomentProfile(0.0, m2, 0.0, 3.0 * m2 * m2)
 
 
 def rademacher_profile(kind: EnsembleKind) -> MomentProfile:
     """Moments of a symmetric two-point law at the ensemble variance."""
-    if kind == EnsembleKind.HERMITIAN:
-        return MomentProfile(0.0, 0.5, 0.0, 0.25)
-    return MomentProfile(0.0, 1.0, 0.0, 1.0)
-
-
-def _required_m2(kind: EnsembleKind) -> float:
-    return 0.5 if kind == EnsembleKind.HERMITIAN else 1.0
+    m2 = ensemble_variance(kind)
+    return MomentProfile(0.0, m2, 0.0, m2 * m2)
 
 
 def _check_profile(kind: EnsembleKind, moments: MomentProfile) -> None:
-    want = _required_m2(kind)
+    want = ensemble_variance(kind)
     if abs(moments.m2 - want) > _M2_TOL:
         raise DomainError(
             f"{kind.value} ensemble requires m2 = {want}, got {moments.m2}"
@@ -106,6 +98,12 @@ def bstar_for(kind: EnsembleKind, moments: MomentProfile) -> float:
 def ensemble_alpha(kind: EnsembleKind) -> float:
     """Order of the generating-function denominator for the ensemble."""
     return 1.0 if kind == EnsembleKind.HERMITIAN else 2.0
+
+
+def ensemble_variance(kind: EnsembleKind) -> float:
+    """Entry variance m2 the ensemble fixes (of each of the real and
+    imaginary parts in the Hermitian case)."""
+    return 0.5 if kind == EnsembleKind.HERMITIAN else 1.0
 
 
 @lru_cache(maxsize=8)
@@ -194,38 +192,3 @@ def oracle_f(kind: EnsembleKind, moments: MomentProfile, n: int,
             f"oracle accumulation lost realness: imag = {total.imag!r}"
         )
     return float(total.real)
-
-
-def oracle_mean(kind: EnsembleKind, moments: MomentProfile, n: int,
-                lam: float) -> float:
-    """E[det(X - lam I)] for an n x n ensemble matrix.
-
-    Only involutions survive: any cycle of length >= 3 touches some
-    off-diagonal position exactly once, and its first moment is zero.
-    Fixed points contribute -lam; transpositions contribute the pair
-    second moment.
-    """
-    if not (1 <= n <= ORACLE_MEAN_MAX_N):
-        raise DomainError(
-            f"oracle_mean needs 1 <= n <= {ORACLE_MEAN_MAX_N}, got {n}"
-        )
-    _check_profile(kind, moments)
-    pair_m2 = 2.0 * moments.m2 if kind == EnsembleKind.HERMITIAN else moments.m2
-    total = 0.0
-    for perm in itertools.permutations(range(n)):
-        value = 1.0
-        involution = True
-        for i in range(n):
-            if perm[i] == i:
-                value *= -lam
-            elif perm[perm[i]] == i:
-                if i < perm[i]:
-                    value *= pair_m2
-            else:
-                involution = False
-                break
-        if not involution:
-            continue
-        inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
-        total += -value if inv % 2 else value
-    return total

@@ -11,7 +11,6 @@ alpha = 2, and gives meaning to non-integer orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -21,7 +20,6 @@ from .numeric_core import QuadratureSpec, mixed_central_diff, trapezoid_line
 from .special_fn import airy
 
 __all__ = [
-    "KernelQuery",
     "sine_kernel",
     "t_kernel",
     "airy_kernel",
@@ -46,23 +44,7 @@ B_QUAD_AT = 1e-3
 IMAG_TOL = 1e-10
 
 DEFAULT_LINE_QUAD = QuadratureSpec(truncation_halfwidth=20.0, point_count=4000)
-
-
-@dataclass(frozen=True)
-class KernelQuery:
-    """One evaluation request for the i_alpha family."""
-
-    alpha: float
-    mu: float
-    nu: float
-    quad: QuadratureSpec = field(default=DEFAULT_LINE_QUAD)
-
-    def __post_init__(self):
-        if not (self.alpha >= 0):
-            raise DomainError(f"alpha must be nonnegative, got {self.alpha}")
-
-    def evaluate(self) -> float:
-        return i_alpha(self.alpha, self.mu, self.nu, self.quad)
+_DIAGONAL_BLOCK = 1024  # diagonal points per matrix product in i_alpha_diagonal
 
 
 def sine_kernel(mu: float, nu: float) -> float:
@@ -158,33 +140,30 @@ def i_alpha(alpha: float, mu: float, nu: float,
     return val.real
 
 
-def i_alpha_diagonal(alpha: float, xs: np.ndarray,
-                     quad: QuadratureSpec = DEFAULT_LINE_QUAD,
-                     chunk: int = 1024) -> np.ndarray:
+def i_alpha_diagonal(alpha: float, xs: np.ndarray) -> np.ndarray:
     """Vectorized i_alpha(alpha, x, x) over an array of diagonal points."""
     if not (0.0 <= alpha <= ALPHA_MAX):
         raise DomainError(f"alpha {alpha} outside [0, {ALPHA_MAX}]")
     xs = np.asarray(xs, dtype=float)
     if xs.size and (np.abs(xs) > ARG_BOX).any():
         raise DomainError("diagonal points outside the argument box")
-    u = quad.nodes()
-    h = 2.0 * quad.truncation_halfwidth / (quad.point_count - 1)
+    u = DEFAULT_LINE_QUAD.nodes()
+    h = 2.0 * DEFAULT_LINE_QUAD.truncation_halfwidth / (u.size - 1)
     w = 1.0 - 1j * u
     fixed = np.exp(w ** 3 / 12.0) / w ** (alpha + 0.5)
-    weights = np.full(quad.point_count, h)
+    weights = np.full(u.size, h)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     fixed_w = fixed * weights
     out = np.empty(xs.size)
     flat = xs.ravel()
-    for i in range(0, flat.size, chunk):
-        block = flat[i:i + chunk, None]
-        out[i:i + chunk] = (np.exp(-block * w[None, :]) @ fixed_w).real
+    for i in range(0, flat.size, _DIAGONAL_BLOCK):
+        block = flat[i:i + _DIAGONAL_BLOCK, None]
+        out[i:i + _DIAGONAL_BLOCK] = (np.exp(-block * w[None, :]) @ fixed_w).real
     return out.reshape(xs.shape) / (4.0 * math.pi ** 1.5)
 
 
-def airy_product(x: float, y: float,
-                 quad: QuadratureSpec = DEFAULT_LINE_QUAD) -> float:
+def airy_product(x: float, y: float) -> float:
     """Contour representation of the product Ai(x) Ai(y).
 
     The alpha = 0 member of the line-integral family: the weight is
@@ -192,7 +171,7 @@ def airy_product(x: float, y: float,
     product of Airy values.
     """
     _check_box(x, y, "airy_product")
-    return i_alpha(0.0, x, y, quad)
+    return i_alpha(0.0, x, y)
 
 
 def operator_step(f: Callable[[float, float], float], mu: float, nu: float,
@@ -211,8 +190,7 @@ def operator_step(f: Callable[[float, float], float], mu: float, nu: float,
     return mixed_central_diff(f, mu, nu, h)
 
 
-def diag_recursion_check(alpha: float, x: float,
-                         quad: QuadratureSpec = DEFAULT_LINE_QUAD):
+def diag_recursion_check(alpha: float, x: float):
     """Both sides of the diagonal downward recursion.
 
     lhs = i_alpha(alpha, x, x); rhs integrates i_alpha(alpha-1, y, y)
@@ -228,7 +206,7 @@ def diag_recursion_check(alpha: float, x: float,
         raise DomainError(f"recursion needs alpha >= 1, got {alpha}")
     if abs(x) > 10.0:
         raise DomainError(f"recursion check point {x} outside [-10, 10]")
-    lhs = i_alpha(alpha, x, x, quad)
+    lhs = i_alpha(alpha, x, x)
 
     # The tail beyond the argument box is below 1e-40, so capping the
     # cutoff there loses nothing while keeping every node in domain.
@@ -239,7 +217,7 @@ def diag_recursion_check(alpha: float, x: float,
         return (span / (vals.size - 1)) * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
 
     count = max(64, int(round(span / 0.04)))
-    fine = i_alpha_diagonal(alpha - 1.0, np.linspace(x, cutoff, 2 * count + 1), quad)
+    fine = i_alpha_diagonal(alpha - 1.0, np.linspace(x, cutoff, 2 * count + 1))
     t_h, t_half = trap(fine[::2]), trap(fine)
     rhs = (4.0 * t_half - t_h) / 3.0
     return lhs, rhs

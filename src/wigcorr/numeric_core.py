@@ -124,29 +124,18 @@ def scaled_div(x: ScaledReal, y: ScaledReal) -> ScaledReal:
     return ScaledReal(x.sign * y.sign, x.log_mag - y.log_mag)
 
 
-def scaled_sqrt(x: ScaledReal) -> ScaledReal:
-    if x.sign < 0:
-        raise DomainError("square root of a negative scaled value")
-    if x.sign == 0:
-        return ZERO
-    return ScaledReal(1, 0.5 * x.log_mag)
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Uniform trapezoid rule on [-U, U] with a fixed point count."""
 
     truncation_halfwidth: float
     point_count: int
-    kind: str = "uniform-trapezoid"
 
     def __post_init__(self):
         if not (self.truncation_halfwidth > 0):
             raise DomainError("truncation_halfwidth must be positive")
         if self.point_count < 64:
             raise DomainError("point_count must be at least 64")
-        if self.kind != "uniform-trapezoid":
-            raise DomainError(f"unknown quadrature kind {self.kind!r}")
 
     def nodes(self) -> np.ndarray:
         return np.linspace(

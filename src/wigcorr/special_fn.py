@@ -1,5 +1,6 @@
-"""Airy and Hermite special functions, the mean characteristic polynomial,
-and the Gaussian-unitary orthogonal-polynomial kernel.
+"""Airy and Hermite special functions, the mean characteristic polynomial
+and the correlation coefficient centred by it, and the Gaussian-unitary
+orthogonal-polynomial kernel.
 
 The Airy pair is served by two independent routes: a library route
 (scipy's AMOS-backed implementation) used for production values, and a
@@ -15,13 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import airy as _scipy_airy, gammaln
 
-from .errors import DomainError
+from .errors import DegenerateDenominatorError, DomainError
 from .numeric_core import (
     ONE,
     ZERO,
     QuadratureSpec,
     ScaledReal,
+    scaled_add,
     scaled_from_log,
+    scaled_mul,
+    scaled_neg,
     trapezoid_line,
 )
 
@@ -31,6 +35,7 @@ __all__ = [
     "airy_contour",
     "hermite_phys",
     "char_poly_mean",
+    "sigma_from_moments",
     "gue_kernel",
 ]
 
@@ -65,13 +70,13 @@ def airy(x: float) -> AiryPair:
     return AiryPair(float(ai), float(aip))
 
 
-def airy_contour(x: float, quad: QuadratureSpec = DEFAULT_AIRY_QUAD) -> AiryPair:
+def airy_contour(x: float) -> AiryPair:
     """Independent contour route for the Airy pair.
 
     Integrates exp(z^3/3 - x z) along the vertical line z = c + it. The
     abscissa c = max(1, sqrt(x)) keeps the integrand peaked for positive
-    x; the envelope decays like exp(-c t^2), so the default truncation at
-    |t| = 20 is far past any contribution.
+    x; the envelope decays like exp(-c t^2), so the truncation at |t| = 20
+    is far past any contribution.
     """
     _check_airy_domain(x)
     c = max(1.0, math.sqrt(x)) if x > 1.0 else 1.0
@@ -84,8 +89,8 @@ def airy_contour(x: float, quad: QuadratureSpec = DEFAULT_AIRY_QUAD) -> AiryPair
         z = c + 1j * t
         return -z * np.exp(z ** 3 / 3.0 - x * z)
 
-    ai = trapezoid_line(integrand, quad).real / (2.0 * math.pi)
-    aip = trapezoid_line(integrand_deriv, quad).real / (2.0 * math.pi)
+    ai = trapezoid_line(integrand, DEFAULT_AIRY_QUAD).real / (2.0 * math.pi)
+    aip = trapezoid_line(integrand_deriv, DEFAULT_AIRY_QUAD).real / (2.0 * math.pi)
     return AiryPair(ai, aip)
 
 
@@ -154,6 +159,27 @@ def char_poly_mean(n: int, lam: float) -> ScaledReal:
         return ZERO
     sign = h.sign if n % 2 == 0 else -h.sign
     return ScaledReal(sign, h.log_mag - 0.5 * n * math.log(2.0))
+
+
+def sigma_from_moments(n: int, mu: float, nu: float, f_cross: ScaledReal,
+                       f_mumu: ScaledReal, f_nunu: ScaledReal,
+                       degenerate: str) -> float:
+    """Correlation coefficient (f_cross - g_mu g_nu) / sqrt((f_mumu -
+    g_mu^2)(f_nunu - g_nu^2)) of det(X - mu) and det(X - nu), from the
+    scaled second moments f_n and the exact mean polynomial g, with the
+    differences formed by scaled addition. A variance factor that is not
+    positive raises DegenerateDenominatorError(degenerate)."""
+    g_mu = char_poly_mean(n, mu)
+    g_nu = char_poly_mean(n, nu)
+    numer = scaled_add(f_cross, scaled_neg(scaled_mul(g_mu, g_nu)))
+    var_mu = scaled_add(f_mumu, scaled_neg(scaled_mul(g_mu, g_mu)))
+    var_nu = scaled_add(f_nunu, scaled_neg(scaled_mul(g_nu, g_nu)))
+    if var_mu.sign <= 0 or var_nu.sign <= 0:
+        raise DegenerateDenominatorError(degenerate)
+    if numer.sign == 0:
+        return 0.0
+    log_ratio = numer.log_mag - 0.5 * (var_mu.log_mag + var_nu.log_mag)
+    return numer.sign * math.exp(log_ratio)
 
 
 def gue_kernel(n: int, x: float, y: float) -> ScaledReal:

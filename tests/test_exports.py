@@ -1,0 +1,77 @@
+"""Every public top-level function and class of the package has a caller.
+
+A name counts as used when runtime code outside its own definition, a
+`bench/` file or README.md names it. Tests do not count: an export that
+only its unit tests call is dead weight on the public surface.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "wigcorr"
+
+# Kept without a runtime caller, each for a stated reason.
+ALLOWED = {
+    # The per-sample reference that the chunked Monte Carlo draw is
+    # tested against, bit for bit.
+    "sample_rng": "per-sample reference of the chunk path",
+    "sample_matrix": "per-sample reference of the chunk path",
+}
+
+
+def _public_defs(tree: ast.Module):
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node
+
+
+def _names_in(node: ast.AST):
+    """Every identifier a node refers to: bare names, attribute names and
+    imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            for alias in sub.names:
+                yield alias.name
+
+
+def unused_exports(package: Path = PACKAGE, bench: Path = ROOT / "bench",
+                   readme: Path = ROOT / "README.md"):
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py"))}
+    # (file, owning top-level definition or None, names used) for every
+    # top-level statement, so that a definition does not call itself. The
+    # package __init__ only re-exports, which is not a use.
+    uses = [
+        (path, getattr(node, "name", None), set(_names_in(node)))
+        for path, tree in trees.items() if path != package / "__init__.py"
+        for node in tree.body
+    ]
+    readme_text = readme.read_text()
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        for node in _public_defs(trees[path]):
+            name = node.name
+            if name in ALLOWED or re.search(rf"\b{name}\b", readme_text):
+                continue
+            if not any(name in names for where, owner, names in uses
+                       if where != path or owner != name):
+                unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_public_definition_has_a_caller():
+    assert unused_exports() == []
+
+
+def test_allowlist_names_existing_definitions():
+    defined = {node.name
+               for path in PACKAGE.glob("*.py")
+               for node in _public_defs(ast.parse(path.read_text()))}
+    assert set(ALLOWED) <= defined

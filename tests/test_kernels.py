@@ -9,7 +9,6 @@ from wigcorr.errors import DomainError
 from wigcorr.kernels import (
     ALPHA_MAX,
     ARG_BOX,
-    KernelQuery,
     airy_kernel,
     airy_product,
     b_kernel,
@@ -107,19 +106,16 @@ def test_i_alpha_symmetry_and_domain():
         i_alpha(1.0, ARG_BOX + 1.0, 0.0)
 
 
-def test_kernel_query():
-    q = KernelQuery(alpha=1.0, mu=0.3, nu=-0.8)
-    assert q.evaluate() == pytest.approx(airy_kernel(0.3, -0.8), abs=1e-12)
-    with pytest.raises(DomainError):
-        KernelQuery(alpha=-1.0, mu=0.0, nu=0.0)
-
-
 def test_i_alpha_diagonal_matches_scalar():
     xs = np.array([-3.0, -0.5, 0.0, 1.25, 6.0])
-    # tiny chunk forces the blocked path to stitch several pieces
-    got = i_alpha_diagonal(1.0, xs, chunk=2)
     want = np.array([i_alpha(1.0, x, x) for x in xs])
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(i_alpha_diagonal(1.0, xs), want, rtol=0, atol=1e-14)
+    # 1030 points span two blocks of 1024; the stitched result must be the
+    # bits of the two blocks evaluated on their own
+    long = np.linspace(-6.0, 6.0, 1030)
+    stitched = np.concatenate([i_alpha_diagonal(1.0, long[:1024]),
+                               i_alpha_diagonal(1.0, long[1024:])])
+    assert np.array_equal(i_alpha_diagonal(1.0, long), stitched)
     with pytest.raises(DomainError):
         i_alpha_diagonal(1.0, np.array([0.0, ARG_BOX + 0.5]))
 

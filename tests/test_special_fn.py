@@ -4,8 +4,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from wigcorr.errors import DomainError
-from wigcorr.numeric_core import ZERO, QuadratureSpec, scaled_to_real_checked
+from wigcorr import egf_engine, wigner_mc
+from wigcorr.errors import DegenerateDenominatorError, DomainError
+from wigcorr.exact_oracle import EnsembleKind
+from wigcorr.numeric_core import (
+    ZERO,
+    scaled_add,
+    scaled_mul,
+    scaled_neg,
+    scaled_to_real_checked,
+)
 from wigcorr.special_fn import (
     AIRY_DOMAIN,
     _hermite_seq,
@@ -40,12 +48,6 @@ def test_airy_contour_agrees_with_library():
         alt = airy_contour(x)
         assert alt.ai == pytest.approx(lib.ai, abs=1e-12)
         assert alt.ai_prime == pytest.approx(lib.ai_prime, abs=1e-12)
-
-
-def test_airy_contour_respects_quadrature_spec():
-    coarse = QuadratureSpec(truncation_halfwidth=20.0, point_count=1500)
-    pair = airy_contour(1.0, coarse)
-    assert pair.ai == pytest.approx(airy(1.0).ai, abs=1e-10)
 
 
 def test_hermite_small_degrees():
@@ -176,3 +178,110 @@ def test_gue_kernel_christoffel_darboux_consistency():
         gue_kernel(n, x, y)
     )
     assert diff == pytest.approx(extra, rel=1e-12)
+
+
+# The two plug-in correlation formulas that egf_engine.sigma_from_cross
+# and wigner_mc._sigma_from_arrays each carried before they shared
+# sigma_from_moments, kept verbatim as the bit-identity reference.
+def _reference_sigma_from_cross(f_cross, alpha, bstar, mu_pt, nu_pt, n):
+    if mu_pt == nu_pt:
+        # Definitionally the numerator equals either variance factor.
+        return 1.0
+    f_mumu = egf_engine._extract_at(alpha, bstar, mu_pt, mu_pt, n)
+    f_nunu = egf_engine._extract_at(alpha, bstar, nu_pt, nu_pt, n)
+    g_mu = char_poly_mean(n, mu_pt)
+    g_nu = char_poly_mean(n, nu_pt)
+    numer = scaled_add(f_cross, scaled_neg(scaled_mul(g_mu, g_nu)))
+    var_mu = scaled_add(f_mumu, scaled_neg(scaled_mul(g_mu, g_mu)))
+    var_nu = scaled_add(f_nunu, scaled_neg(scaled_mul(g_nu, g_nu)))
+    if var_mu.sign <= 0 or var_nu.sign <= 0:
+        raise DegenerateDenominatorError(
+            f"nonpositive variance factor at n = {n}, points "
+            f"({mu_pt}, {nu_pt})"
+        )
+    if numer.sign == 0:
+        return 0.0
+    log_ratio = numer.log_mag - 0.5 * (var_mu.log_mag + var_nu.log_mag)
+    return numer.sign * math.exp(log_ratio)
+
+
+def _reference_sigma_from_arrays(signs, logs, lambdas, mu, nu, n, where):
+    mean_scaled, pair_samples = wigner_mc._mean_scaled, wigner_mc._pair_samples
+    i_mu, i_nu = lambdas.index(mu), lambdas.index(nu)
+    f_cross, _ = mean_scaled(*pair_samples(signs, logs, i_mu, i_nu))
+    f_mumu, _ = mean_scaled(*pair_samples(signs, logs, i_mu, i_mu))
+    f_nunu, _ = mean_scaled(*pair_samples(signs, logs, i_nu, i_nu))
+    g_mu = char_poly_mean(n, mu)
+    g_nu = char_poly_mean(n, nu)
+    numer = scaled_add(f_cross, scaled_neg(scaled_mul(g_mu, g_nu)))
+    var_mu = scaled_add(f_mumu, scaled_neg(scaled_mul(g_mu, g_mu)))
+    var_nu = scaled_add(f_nunu, scaled_neg(scaled_mul(g_nu, g_nu)))
+    if var_mu.sign <= 0 or var_nu.sign <= 0:
+        raise DegenerateDenominatorError(
+            f"nonpositive variance estimate at point ({mu}, {nu}) in {where}"
+        )
+    if numer.sign == 0:
+        return 0.0
+    return numer.sign * math.exp(
+        numer.log_mag - 0.5 * (var_mu.log_mag + var_nu.log_mag)
+    )
+
+
+def _reference_sigma_detail(cfg):
+    """estimate_sigma_detail on the reference formula, 20 batches."""
+    lambdas = wigner_mc._lambda_index(cfg.points)
+    signs, logs = wigner_mc._collect_dets(cfg, lambdas)
+    edges = np.linspace(0, cfg.samples, 21, dtype=int)
+    out = []
+    for mu, nu in cfg.points:
+        value = _reference_sigma_from_arrays(
+            signs, logs, lambdas, mu, nu, cfg.n,
+            f"the whole sample ({cfg.samples} samples)",
+        )
+        batch_vals = [
+            _reference_sigma_from_arrays(
+                signs[lo:hi], logs[lo:hi], lambdas, mu, nu, cfg.n,
+                f"batch index {b} of 20 batches ({hi - lo} samples; "
+                f"the whole-sample estimate is {value!r})",
+            )
+            for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
+        ]
+        out.append((value, float(np.std(batch_vals, ddof=1)) / math.sqrt(20)))
+    return out
+
+
+@pytest.mark.parametrize("alpha, bstar, mu, nu, n", [
+    (1.0, 0.0, 0.3, -0.7, 4),
+    (1.0, 0.25, -1.3, 2.0, 16),
+    (1.0, 0.0, *egf_engine.edge_points(1024, 0.0, 1.0), 1024),
+    (1.0, -0.5, 0.8, 0.8, 8),
+    (2.0, 0.0, 0.3, -0.7, 4),
+    (2.0, -1.0, -0.5, 1.2, 32),
+    (2.0, 0.5, *egf_engine.edge_points(125, -1.0, 0.5), 125),
+    (2.0, 0.0, 2.5, -2.5, 64),
+])
+def test_sigma_alpha_bit_identical_to_reference(alpha, bstar, mu, nu, n):
+    f_cross = egf_engine._extract_at(alpha, bstar, mu, nu, n)
+    want = _reference_sigma_from_cross(f_cross, alpha, bstar, mu, nu, n)
+    assert egf_engine.sigma_alpha(alpha, bstar, mu, nu, n) == want
+    assert egf_engine.sigma_from_cross(f_cross, alpha, bstar, mu, nu, n) == want
+
+
+@pytest.mark.parametrize("kind", [EnsembleKind.HERMITIAN,
+                                  EnsembleKind.REAL_SYMMETRIC])
+def test_estimate_sigma_detail_bit_identical_to_reference(kind):
+    points = ((0.3, -0.7), (1.0, 0.2), (-0.5, 1.5), (0.4, 0.4))
+    cfg = wigner_mc.MCConfig(kind, wigner_mc.dist_for("uniform", kind), 4,
+                             2000, 5, points=points)
+    assert wigner_mc.estimate_sigma_detail(cfg) == _reference_sigma_detail(cfg)
+
+
+def test_estimate_sigma_degenerate_message_matches_reference():
+    cfg = wigner_mc.MCConfig(EnsembleKind.HERMITIAN,
+                             wigner_mc.dist_for("gaussian", EnsembleKind.HERMITIAN),
+                             4, 200, 10, points=((0.3, -0.7),))
+    with pytest.raises(DegenerateDenominatorError) as want:
+        _reference_sigma_detail(cfg)
+    with pytest.raises(DegenerateDenominatorError) as got:
+        wigner_mc.estimate_sigma_detail(cfg)
+    assert str(got.value) == str(want.value)

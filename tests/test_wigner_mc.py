@@ -17,13 +17,13 @@ from wigcorr.exact_oracle import (
     oracle_f,
 )
 from wigcorr.egf_engine import sigma_alpha
+from wigcorr import wigner_mc
 from wigcorr.numeric_core import scaled_to_real_checked
 from wigcorr.wigner_mc import (
     DIST_KINDS,
     MC_MAX_N,
     EntryDist,
     MCConfig,
-    char_poly_value,
     dist_for,
     estimate_f,
     estimate_sigma_detail,
@@ -125,6 +125,8 @@ def test_mc_config_validation():
         MCConfig(SYM, dist, 4, 1000, 0)  # hermitian-variance entries
     with pytest.raises(DomainError):
         MCConfig(HERM, dist, 4, 1000, 0, points=((0.0,),))
+    with pytest.raises(DomainError):
+        MCConfig(HERM, dist, 4, 1000, 0, points=((math.inf, 0.0),))
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, 3.0, True, "7", None])
@@ -220,26 +222,15 @@ def test_collect_dets_across_chunk_boundary():
             assert logs[i, j] == logabs
 
 
-def test_char_poly_value_exact_cases():
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    v = char_poly_value(x, 0.0)
-    assert v.sign == -1 and v.log_mag == pytest.approx(0.0, abs=1e-14)
-    # lam = 1 is an eigenvalue: exactly singular shift
-    assert char_poly_value(x, 1.0).is_zero()
-    with pytest.raises(DomainError):
-        char_poly_value(x, math.inf)
-
-
-def test_char_poly_value_hermitian_complex():
-    x = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
-    v = char_poly_value(x, 0.0)
-    assert v.sign == -1 and v.log_mag == pytest.approx(0.0, abs=1e-14)
-
-
-def test_char_poly_value_rejects_rotated_determinant():
-    x = np.array([[0.0, 1.0], [5.0j, 0.0]])
-    with pytest.raises(NumericalConsistencyError):
-        char_poly_value(x, 0.0)
+def test_estimate_f_rejects_rotated_determinant(monkeypatch):
+    # det [[0, 1], [5j, 0]] = -5j: a Hermitian-ensemble determinant with
+    # that phase is refused, not rounded to a real sign
+    rotated = np.array([[0.0, 1.0], [5.0j, 0.0]])
+    monkeypatch.setattr(wigner_mc, "_draw_chunk",
+                        lambda cfg, start, count: np.stack([rotated] * count))
+    cfg = MCConfig(HERM, dist_for("gaussian", HERM), 2, 100, 0)
+    with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
+        estimate_f(cfg)
 
 
 def test_estimates_independent_of_thread_count(monkeypatch):
@@ -254,7 +245,6 @@ def test_estimates_independent_of_thread_count(monkeypatch):
     threaded, = estimate_f(cfg)
     assert serial.mean == threaded.mean
     assert serial.stderr == threaded.stderr
-    assert serial.samples_used == threaded.samples_used == 1200
 
 
 def test_estimate_f_matches_oracle():
@@ -287,12 +277,6 @@ def test_estimate_sigma_detail():
     assert abs(val - want) < 5.0 * spread
 
 
-def test_estimate_sigma_detail_batch_guard():
-    cfg = MCConfig(HERM, dist_for("gaussian", HERM), 4, 100, 7)
-    with pytest.raises(DomainError):
-        estimate_sigma_detail(cfg, batches=25)
-
-
 def test_estimate_sigma_batch_failure_names_the_batch():
     # The whole 200-sample estimate is fine (about 0.50); one 10-sample
     # batch has a nonpositive variance, and the error must say so.
@@ -311,6 +295,6 @@ def test_estimate_sigma_degenerate_point_is_unit():
     cfg = MCConfig(
         HERM, dist_for("gaussian", HERM), 4, 500, 3, points=((0.7, 0.7),)
     )
-    (val, spread), = estimate_sigma_detail(cfg, batches=20)
+    (val, spread), = estimate_sigma_detail(cfg)
     assert val == 1.0
     assert spread == 0.0
