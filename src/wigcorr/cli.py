@@ -7,9 +7,9 @@ error, and the extraction condition number. Reports render as CSV (the
 header row plus data, LF endings) or as a single JSON object carrying
 the same numeric payload together with parameters and diagnostics.
 
-Exit codes: 0 on success, 2 when a numerical consistency check fails,
-3 on bad arguments, 141 (128 + SIGPIPE) when the reader closes stdout
-before the output ends.
+Exit codes: 0 on success, 2 when a row was refused (it stays in the
+table, flagged) or a numerical check failed, 3 on bad arguments, 141
+(128 + SIGPIPE) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .egf_engine import (
     sigma_from_cross,
 )
 from .errors import (
-    CancellationError,
     DegenerateDenominatorError,
     DomainError,
     NumericalConsistencyError,
@@ -88,13 +87,8 @@ _ENSEMBLES = {
     "symmetric": EnsembleKind.REAL_SYMMETRIC,
 }
 
-# CLI spelling -> distribution kind used by the sampling module.
-_DISTS = {
-    "gaussian": "gaussian",
-    "rademacher": "rademacher",
-    "uniform": "uniform",
-    "two-point": "two_point",
-}
+# CLI spellings of the entry laws; the sampling module writes "two_point".
+_DISTS = ("gaussian", "rademacher", "uniform", "two-point")
 
 
 @dataclass
@@ -110,15 +104,7 @@ class Row:
     condition: float
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "N": self.n,
-            "log10_f": self.log10_f,
-            "sign": self.sign,
-            "scaled": self.scaled,
-            "limit": self.limit,
-            "abs_err": self.abs_err,
-            "condition": self.condition,
-        }
+        return {"N": self.n, **{name: getattr(self, name) for name in COLUMNS[1:]}}
 
 
 @dataclass
@@ -145,6 +131,27 @@ def _row(n: int, raw: ScaledReal, scaled: float, limit: float,
         abs_err=float(abs(scaled - limit)),
         condition=float(condition),
     )
+
+
+def _table(command: str, params: Dict[str, object], sizes: Sequence[int],
+           limit: float, compute, diagnostics: Dict[str, object]) -> RunReport:
+    """One row per size from compute(n). A row refused with a
+    NumericalConsistencyError stays, flagged: sign 0, value 0, the table's
+    limit and the refusal's condition; the reason goes to stderr, exit 2."""
+    rows: List[Row] = []
+    flagged: List[int] = []
+    for n in sizes:
+        try:
+            rows.append(compute(n))
+        except NumericalConsistencyError as exc:
+            condition = (exc.at.condition if isinstance(exc.at, SaddleData)
+                         else CONDITION_LIMIT)
+            rows.append(_row(n, scaled_from_real(0.0), 0.0, limit, condition))
+            flagged.append(int(n))
+            print(f"wigcorr: row N = {n} refused: {exc}", file=sys.stderr)
+    if flagged:
+        diagnostics["flagged_rows"] = flagged
+    return RunReport(command, params, rows, diagnostics, 2 if flagged else 0)
 
 
 def _edge_kernel(alpha: float, mu: float, nu: float):
@@ -198,53 +205,38 @@ def _base_params(args, sizes: Optional[List[int]] = None,
 def cmd_edge(args) -> RunReport:
     sizes = _resolve_n_list(args)
     limit = math.exp(args.bstar) * _edge_kernel(args.alpha, args.mu, args.nu)[0]
-    rows = []
-    for n in sizes:
-        scaled, raw, diag = edge_scaled_full(
-            args.alpha, args.bstar, args.mu, args.nu, n
-        )
-        rows.append(_row(n, raw, scaled, limit, diag.condition))
-    diagnostics: Dict[str, object] = {
+
+    def compute(n):
+        scaled, raw, diag = edge_scaled_full(args.alpha, args.bstar,
+                                             args.mu, args.nu, n)
+        return _row(n, raw, scaled, limit, diag.condition)
+
+    report = _table("edge", _base_params(args, sizes), sizes, limit, compute, {
         "contour_radius": [default_radius(n) for n in sizes],
         "contour_points": [default_points(n) for n in sizes],
-    }
-    slope = _error_slope(sizes, [r.abs_err for r in rows])
+    })
+    kept = [r for r in report.rows if r.n not in report.diagnostics.get("flagged_rows", ())]
+    slope = _error_slope([r.n for r in kept], [r.abs_err for r in kept])
     if slope is not None:
-        diagnostics["error_slope"] = slope
-    return RunReport("edge", _base_params(args, sizes), rows, diagnostics)
+        report.diagnostics["error_slope"] = slope
+    return report
 
 
 def cmd_bulk(args) -> RunReport:
     sizes = _resolve_n_list(args)
     kernel = sine_kernel if args.alpha == 1.0 else t_kernel
     limit = math.exp(args.bstar) * kernel(args.mu, args.nu)
-    rows: List[Row] = []
-    flagged: List[int] = []
-    for n in sizes:
-        try:
-            scaled, raw, diag = bulk_scaled_full(
-                args.alpha, args.bstar, args.xi, args.mu, args.nu, n
-            )
-        except CancellationError as exc:
-            # Refused rows stay in the table with a zero value and the
-            # condition number that triggered the refusal.
-            condition = (exc.at.condition if isinstance(exc.at, SaddleData)
-                         else CONDITION_LIMIT)
-            rows.append(_row(n, scaled_from_real(0.0), 0.0, limit, condition))
-            flagged.append(int(n))
-            continue
-        rows.append(_row(n, raw, scaled, limit, diag.condition))
-    diagnostics: Dict[str, object] = {
+
+    def compute(n):
+        scaled, raw, diag = bulk_scaled_full(args.alpha, args.bstar, args.xi,
+                                             args.mu, args.nu, n)
+        return _row(n, raw, scaled, limit, diag.condition)
+
+    params = _base_params(args, sizes, xi=float(args.xi))
+    return _table("bulk", params, sizes, limit, compute, {
         "contour_radius": [bulk_radius(n) for n in sizes],
         "contour_points": [bulk_points(n) for n in sizes],
-    }
-    if flagged:
-        diagnostics["flagged_rows"] = flagged
-    report = RunReport("bulk", _base_params(args, sizes, xi=float(args.xi)),
-                       rows, diagnostics)
-    if flagged:
-        report.exit_code = 2
-    return report
+    })
 
 
 def cmd_corr(args) -> RunReport:
@@ -257,25 +249,24 @@ def cmd_corr(args) -> RunReport:
             f"limit kernel diagonal not positive at mu={args.mu}, nu={args.nu}"
         )
     limit = off / math.sqrt(diag_mu * diag_nu)
-    rows = []
-    for n in sizes:
+
+    def compute(n):
         mu_n, nu_n = edge_points(n, args.mu, args.nu)
-        _, raw, diag = edge_scaled_full(
-            args.alpha, args.bstar, args.mu, args.nu, n
-        )
+        _, raw, diag = edge_scaled_full(args.alpha, args.bstar,
+                                        args.mu, args.nu, n)
         # raw is f_n at (mu_n, nu_n), the cross term of the correlation
         value = sigma_from_cross(raw, args.alpha, args.bstar, mu_n, nu_n, n)
-        rows.append(_row(n, raw, value, limit, diag.condition))
-    diagnostics: Dict[str, object] = {
+        return _row(n, raw, value, limit, diag.condition)
+
+    return _table("corr", _base_params(args, sizes), sizes, limit, compute, {
         "contour_points": [default_points(n) for n in sizes],
-    }
-    return RunReport("corr", _base_params(args, sizes), rows, diagnostics)
+    })
 
 
 def _ensemble_setup(args):
     """Ensemble, entry law, its moments, and the alpha and bstar they fix."""
     kind = _ENSEMBLES[args.ensemble]
-    dist = dist_for(_DISTS[args.dist], kind, args.two_point_p)
+    dist = dist_for(args.dist.replace("-", "_"), kind, args.two_point_p)
     moments = moments_of(dist)
     return kind, dist, moments, ensemble_alpha(kind), bstar_for(kind, moments)
 
@@ -292,24 +283,24 @@ def _ensemble_params(args, sizes: List[int], alpha: float, bstar: float,
 def cmd_oracle(args) -> RunReport:
     sizes = _resolve_n_list(args)
     kind, _, moments, alpha, bstar = _ensemble_setup(args)
-    rows = []
-    for n in sizes:
+
+    def compute(n):
         if n > ORACLE_F_MAX_N:
             raise DomainError(
                 f"exact expansion supports n <= {ORACLE_F_MAX_N}, got {n}"
             )
         exact = oracle_f(kind, moments, n, args.mu, args.nu)
-        job = ContourJob.with_defaults(
-            EgfParams(alpha, bstar, args.mu, args.nu), n
-        )
+        job = ContourJob.with_defaults(EgfParams(alpha, bstar, args.mu, args.nu), n)
         value, diag = extract_f(job)
-        rows.append(_row(n, scaled_from_real(exact), exact,
-                         scaled_to_real_checked(value), diag.condition))
+        return _row(n, scaled_from_real(exact), exact,
+                    scaled_to_real_checked(value), diag.condition)
+
     params = _ensemble_params(
         args, sizes, alpha, bstar,
         moments={"m2": moments.m2, "m3": moments.m3, "m4": moments.m4},
     )
-    return RunReport("oracle", params, rows, {})
+    # Each row's limit is its own extraction, so a refused row reads 0.
+    return _table("oracle", params, sizes, 0.0, compute, {})
 
 
 def cmd_kernel(args) -> RunReport:
@@ -340,9 +331,9 @@ def _mc_reference(kind: EnsembleKind, moments, alpha: float, bstar: float,
 def cmd_mc(args) -> RunReport:
     sizes = _resolve_n_list(args)
     kind, dist, moments, alpha, bstar = _ensemble_setup(args)
-    rows = []
     compare = []
-    for n in sizes:
+
+    def compute(n):
         cfg = MCConfig(ensemble=kind, dist=dist, n=n, samples=args.samples,
                        seed=args.seed, points=((args.mu, args.nu),))
         if args.stat == "f":
@@ -352,35 +343,30 @@ def cmd_mc(args) -> RunReport:
             )
             # Values themselves overflow doubles for large n, so the
             # normalized column is the ratio to the reference route.
-            if est.mean.is_zero():
-                ratio = 0.0
-            else:
-                ratio = scaled_to_real_checked(scaled_div(est.mean, reference))
-            if est.stderr.is_zero():
-                rel_err = 0.0
-            else:
-                rel_err = abs(scaled_to_real_checked(
-                    scaled_div(est.stderr, reference)
-                ))
-            rows.append(_row(n, est.mean, ratio, 1.0, rel_err))
+            ratio = (0.0 if est.mean.is_zero() else
+                     scaled_to_real_checked(scaled_div(est.mean, reference)))
+            rel_err = (0.0 if est.stderr.is_zero() else
+                       abs(scaled_to_real_checked(scaled_div(est.stderr, reference))))
             compare.append({
                 "N": int(n),
                 "reference_route": route,
                 "z_score": 0.0 if rel_err == 0.0 else (ratio - 1.0) / rel_err,
             })
-        else:
-            value, spread = estimate_sigma_detail(cfg)[0]
-            reference = sigma_alpha(alpha, bstar, args.mu, args.nu, n)
-            rows.append(_row(n, scaled_from_real(value), value, reference,
-                             spread))
-            compare.append({"N": int(n), "batch_spread": float(spread)})
+            return _row(n, est.mean, ratio, 1.0, rel_err)
+        value, spread = estimate_sigma_detail(cfg)[0]
+        reference = sigma_alpha(alpha, bstar, args.mu, args.nu, n)
+        compare.append({"N": int(n), "batch_spread": float(spread)})
+        return _row(n, scaled_from_real(value), value, reference, spread)
+
     params = _ensemble_params(
         args, sizes, alpha, bstar,
         samples=int(args.samples),
         seed=int(args.seed),
         stat=args.stat,
     )
-    return RunReport("mc", params, rows, {"comparison": compare})
+    # --stat sigma rows each have their own reference: a refused one reads 0.
+    return _table("mc", params, sizes, 1.0 if args.stat == "f" else 0.0,
+                  compute, {"comparison": compare})
 
 
 _HANDLERS = {
@@ -467,15 +453,13 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--deterministic", action="store_true",
                         help="suppress wall-clock diagnostics for "
                              "byte-reproducible reports")
-    common.add_argument("--fast", action="store_true",
-                        help="reduced-size variant (selftest only)")
     return common
 
 
 def _add_mc_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ensemble", choices=sorted(_ENSEMBLES),
                         default="hermitian")
-    parser.add_argument("--dist", choices=tuple(_DISTS), default="gaussian")
+    parser.add_argument("--dist", choices=_DISTS, default="gaussian")
     parser.add_argument("--two-point-p", dest="two_point_p", type=float,
                         default=0.5,
                         help="success probability of the two-point entry law")
@@ -526,14 +510,13 @@ def _build_parser() -> _Parser:
                     "and entry distribution fix alpha and bstar.",
     )
     _add_mc_options(p_oracle)
-    p_kernel = sub.add_parser(
+    sub.add_parser(
         "kernel", parents=[common],
         help="limit kernel values, closed form against quadrature",
         description="Single limit-kernel evaluation; the closed form "
                     "(orders 0, 1, 2) is compared against the defining "
                     "line integral.",
     )
-    del p_kernel
     p_mc = sub.add_parser(
         "mc", parents=[common],
         help="Monte Carlo estimates against oracle or extraction",
@@ -553,13 +536,15 @@ def _build_parser() -> _Parser:
     p_mc.add_argument("--stat", choices=("f", "sigma"), default="f",
                       help="estimate the correlation value or the "
                            "correlation coefficient")
-    sub.add_parser(
-        "selftest", parents=[common],
+    p_selftest = sub.add_parser(
+        "selftest",
         help="run the invariant suite of every module",
         description="Runs every cross-route invariant group and prints "
-                    "one pass/fail line per group. --fast skips the "
-                    "largest sizes.",
+                    "one pass/fail line per group with its margins.",
     )
+    p_selftest.add_argument("--fast", action="store_true",
+                            help="skip the largest sizes and shrink the "
+                                 "Monte Carlo sample count")
     return parser
 
 

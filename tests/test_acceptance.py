@@ -1,50 +1,25 @@
 """Acceptance gate: fourteen cross-route checks at fixed tolerances.
 
-Each test prints one PASS/FAIL line with the measured quantity, then
-asserts. Tolerances and runtime budgets are part of the shipped contract
-and must not be loosened to make a machine happy.
+Each test prints one PASS/FAIL line with its margins (measured value
+against tolerance, elapsed time against budget), then asserts. The
+identities that the selftest also checks are measured by the one
+function in wigcorr.selftest that both call; each side passes its own
+points, sizes, seeds and tolerances. Tolerances and runtime budgets are
+part of the shipped contract and must not be loosened to make a machine
+happy.
 """
 
 import math
 import time
 
 import numpy as np
-import pytest
 
-from wigcorr.egf_engine import (
-    ContourJob,
-    EgfParams,
-    bulk_scaled_full,
-    edge_points,
-    edge_scaled_f,
-    extract_f,
-    sigma_alpha,
-)
-from wigcorr.exact_oracle import (
-    EnsembleKind,
-    MomentProfile,
-    bstar_for,
-    ensemble_alpha,
-    gaussian_profile,
-    oracle_f,
-    rademacher_profile,
-)
-from wigcorr.kernels import (
-    airy_kernel,
-    airy_product,
-    b_kernel,
-    diag_recursion_check,
-    i_alpha,
-    i_alpha_diagonal,
-    operator_step,
-    sine_kernel,
-    t_kernel,
-)
-from wigcorr.numeric_core import scaled_to_real_checked
-from wigcorr.selftest import run as selftest_run
-from wigcorr.special_fn import airy, gue_kernel
-from wigcorr import cli
-from wigcorr.wigner_mc import MCConfig, dist_for, estimate_f
+from wigcorr import cli, selftest
+from wigcorr.egf_engine import EgfParams, edge_scaled_f
+from wigcorr.exact_oracle import EnsembleKind
+from wigcorr.kernels import airy_product
+from wigcorr.selftest import Margin, report_line
+from wigcorr.special_fn import airy
 
 HERM = EnsembleKind.HERMITIAN
 SYM = EnsembleKind.REAL_SYMMETRIC
@@ -58,73 +33,29 @@ def report(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
 
-def _extract_value(alpha, bstar, mu, nu, n):
-    job = ContourJob.with_defaults(EgfParams(alpha, bstar, mu, nu), n)
-    value, _ = extract_f(job)
-    return value
+def gate(name: str, check) -> None:
+    """Run check(), print its margins on one line, assert every bound."""
+    start = time.perf_counter()
+    margins = check()
+    print(report_line(name, time.perf_counter() - start, margins))
+    assert all(m.ok for m in margins), [str(m) for m in margins if not m.ok]
 
 
 def test_01_oracle_matches_extraction():
-    budget, tol = 10.0, 1e-10
-    start = time.perf_counter()
-    worst = 0.0
-    for kind in (HERM, SYM):
-        alpha = ensemble_alpha(kind)
-        for profile in (gaussian_profile(kind), rademacher_profile(kind)):
-            bstar = bstar_for(kind, profile)
-            for n in range(1, 6):
-                for mu in GRID3:
-                    for nu in GRID3:
-                        exact = oracle_f(kind, profile, n, mu, nu)
-                        got = scaled_to_real_checked(
-                            _extract_value(alpha, bstar, mu, nu, n)
-                        )
-                        worst = max(worst, abs(got - exact) / abs(exact))
-    elapsed = time.perf_counter() - start
-    ok = worst <= tol and elapsed <= budget
-    report("oracle-vs-extraction", ok,
-           f"worst rel {worst:.3e} (tol {tol:.0e}), {elapsed:.1f}s of {budget:.0f}s")
-    assert worst <= tol
-    assert elapsed <= budget
+    gate("oracle-vs-extraction", lambda: selftest.oracle_vs_extraction(
+        GRID3, range(1, 6), 1e-10, budget=10.0))
 
 
 def test_02_third_moment_invariance():
-    tol = 1e-12
-    worst = 0.0
-    for kind, m2, m4 in ((HERM, 0.5, 0.75), (SYM, 1.0, 3.0)):
-        for n in range(1, 6):
-            for mu, nu in ((0.6, -0.9), (0.2, 0.2)):
-                ref = oracle_f(kind, MomentProfile(0.0, m2, 0.0, m4), n, mu, nu)
-                for m3 in (-1.0, 1.0):
-                    got = oracle_f(
-                        kind, MomentProfile(0.0, m2, m3, m4), n, mu, nu
-                    )
-                    worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
-    ok = worst <= tol
-    report("third-moment-invariance", ok, f"worst dev {worst:.3e} (tol {tol:.0e})")
-    assert worst <= tol
+    gate("third-moment-invariance", lambda: selftest.third_moment_invariance(
+        ((HERM, 0.5, 0.75), (SYM, 1.0, 3.0)), range(1, 6),
+        ((0.6, -0.9), (0.2, 0.2)), 1e-12))
 
 
 def test_03_hermitian_kernel_link():
     # log f_N = log(sqrt(2 pi) N!) + (mu^2+nu^2)/4 + log K_{N+1}(mu, nu)
-    budget, tol = 5.0, 1e-8
-    start = time.perf_counter()
-    worst = 0.0
-    from scipy.special import gammaln
-    for mu, nu in ((0.0, 0.0), (0.3, -0.7), (1.0, 1.0)):
-        for n in range(1, 41):
-            got = _extract_value(1.0, 0.0, mu, nu, n)
-            kernel = gue_kernel(n + 1, mu, nu)
-            assert got.sign == kernel.sign
-            want_log = (0.5 * math.log(2.0 * math.pi) + float(gammaln(n + 1))
-                        + (mu * mu + nu * nu) / 4.0 + kernel.log_mag)
-            worst = max(worst, abs(got.log_mag - want_log))
-    elapsed = time.perf_counter() - start
-    ok = worst <= tol and elapsed <= budget
-    report("hermitian-kernel-link", ok,
-           f"worst rel {worst:.3e} (tol {tol:.0e}), {elapsed:.1f}s of {budget:.0f}s")
-    assert worst <= tol
-    assert elapsed <= budget
+    gate("hermitian-kernel-link", lambda: selftest.gue_kernel_link(
+        ((0.0, 0.0), (0.3, -0.7), (1.0, 1.0)), range(1, 41), 1e-8, budget=5.0))
 
 
 def test_04_airy_product_identity():
@@ -145,89 +76,25 @@ def test_04_airy_product_identity():
 
 
 def test_05_operator_chain():
-    chain_tol, direct_tol = 1e-6, 1e-9
     points = ((0.5, -0.5), (1.0, 0.2), (-1.5, 0.8), (2.0, -1.0), (0.0, 0.7))
-    worst_chain = 0.0
-    for x, y in points:
-        hop1 = operator_step(airy_product, x, y, 1e-4)
-        worst_chain = max(worst_chain, abs(hop1 - i_alpha(1.0, x, y)))
-        hop2 = operator_step(lambda a, b: i_alpha(1.0, a, b), x, y, 1e-4)
-        worst_chain = max(worst_chain, abs(hop2 - i_alpha(2.0, x, y)))
-    worst_direct = 0.0
-    for x, y in points:
-        worst_direct = max(worst_direct, abs(i_alpha(1.0, x, y) - airy_kernel(x, y)))
-        worst_direct = max(worst_direct, abs(i_alpha(2.0, x, y) - b_kernel(x, y)))
-    ok = worst_chain <= chain_tol and worst_direct <= direct_tol
-    report("operator-chain", ok,
-           f"chain {worst_chain:.3e} (tol {chain_tol:.0e}), "
-           f"closed-form {worst_direct:.3e} (tol {direct_tol:.0e})")
-    assert worst_chain <= chain_tol
-    assert worst_direct <= direct_tol
+    gate("operator-chain", lambda: (selftest.operator_chain(points, 1e-4, 1e-6)
+                                    + selftest.closed_forms(points, 1e-9)))
 
 
 def test_06_diagonal_positivity_and_recursion():
-    budget, tol = 5.0, 1e-7
-    start = time.perf_counter()
-    xs = np.linspace(-6.0, 6.0, 49)
-    min_diag = math.inf
-    for alpha in (0.0, 1.0, 2.0, 3.0):
-        min_diag = min(min_diag, float(i_alpha_diagonal(alpha, xs).min()))
-    worst = 0.0
-    for alpha in (1.0, 2.0, 3.0):
-        for x in (-2.0, 0.5, 3.0):
-            lhs, rhs = diag_recursion_check(alpha, x)
-            worst = max(worst, abs(lhs - rhs))
-    elapsed = time.perf_counter() - start
-    ok = min_diag > 0.0 and worst <= tol and elapsed <= budget
-    report("diagonal-positivity-recursion", ok,
-           f"min diag {min_diag:.3e}, recursion dev {worst:.3e} (tol {tol:.0e}), "
-           f"{elapsed:.1f}s of {budget:.0f}s")
-    assert min_diag > 0.0
-    assert worst <= tol
-    assert elapsed <= budget
-
-
-def _edge_trend(alpha: float, limit_fn) -> tuple:
-    worst_ratio_lo, worst_ratio_hi = math.inf, 0.0
-    all_decreasing = True
-    details = []
-    for mu, nu in EDGE_TREND_POINTS:
-        limit = limit_fn(mu, nu)
-        errs = [abs(edge_scaled_f(alpha, 0.0, mu, nu, n) - limit)
-                for n in EDGE_TREND_SIZES]
-        decreasing = errs[0] > errs[1] > errs[2]
-        all_decreasing = all_decreasing and decreasing
-        ratio = errs[1] / errs[2]
-        worst_ratio_lo = min(worst_ratio_lo, ratio)
-        worst_ratio_hi = max(worst_ratio_hi, ratio)
-        details.append(f"({mu},{nu}) ratio {ratio:.2f}")
-    return all_decreasing, worst_ratio_lo, worst_ratio_hi, "; ".join(details)
+    recursion = [(alpha, x, 1e-7) for alpha in (1.0, 2.0, 3.0) for x in (-2.0, 0.5, 3.0)]
+    gate("diagonal-positivity-recursion", lambda: selftest.positivity_recursion(
+        (0.0, 1.0, 2.0, 3.0), np.linspace(-6.0, 6.0, 49), recursion, budget=5.0))
 
 
 def test_07_edge_trend_order_one():
-    budget = 60.0
-    start = time.perf_counter()
-    decreasing, lo, hi, details = _edge_trend(1.0, airy_kernel)
-    elapsed = time.perf_counter() - start
-    ok = decreasing and lo >= 1.4 and hi <= 3.0 and elapsed <= budget
-    report("edge-trend-order-one", ok,
-           f"{details}, decreasing {decreasing}, {elapsed:.1f}s of {budget:.0f}s")
-    assert decreasing
-    assert lo >= 1.4 and hi <= 3.0
-    assert elapsed <= budget
+    gate("edge-trend-order-one", lambda: selftest.edge_trend(
+        1.0, EDGE_TREND_POINTS, EDGE_TREND_SIZES, (1.4, 3.0), budget=60.0))
 
 
 def test_08_edge_trend_order_two():
-    budget = 60.0
-    start = time.perf_counter()
-    decreasing, lo, hi, details = _edge_trend(2.0, b_kernel)
-    elapsed = time.perf_counter() - start
-    ok = decreasing and lo >= 1.4 and hi <= 3.0 and elapsed <= budget
-    report("edge-trend-order-two", ok,
-           f"{details}, decreasing {decreasing}, {elapsed:.1f}s of {budget:.0f}s")
-    assert decreasing
-    assert lo >= 1.4 and hi <= 3.0
-    assert elapsed <= budget
+    gate("edge-trend-order-two", lambda: selftest.edge_trend(
+        2.0, EDGE_TREND_POINTS, EDGE_TREND_SIZES, (1.4, 3.0), budget=60.0))
 
 
 # Exact ratios f_N(bstar=1) / f_N(bstar=0) at edge offsets mu = nu = 0
@@ -275,107 +142,48 @@ def test_09_bstar_prefactor_ratio():
 
 
 def test_10_correlation_trend():
-    cases = (
-        (1.0, (0.0, 1.0), 0.10, airy_kernel),
-        (2.0, (-1.0, 2.0), 0.15, b_kernel),
-    )
-    ok_all = True
-    details = []
-    for alpha, (mu, nu), tol, kern in cases:
-        limit = kern(mu, nu) / math.sqrt(kern(mu, mu) * kern(nu, nu))
-        errs = []
-        for n in (1024, 4096):
-            mu_n, nu_n = edge_points(n, mu, nu)
-            errs.append(abs(sigma_alpha(alpha, 0.0, mu_n, nu_n, n) - limit))
-        ok = errs[1] <= tol and errs[1] <= errs[0]
-        ok_all = ok_all and ok
-        details.append(
-            f"alpha {alpha:g}: err {errs[0]:.2e} -> {errs[1]:.2e} (tol {tol})"
-        )
-    report("correlation-trend", ok_all, "; ".join(details))
-    assert ok_all
+    gate("correlation-trend", lambda: (
+        selftest.correlation_trend(1.0, (0.0, 1.0), (1024, 4096), 0.10)
+        + selftest.correlation_trend(2.0, (-1.0, 2.0), (1024, 4096), 0.15)))
 
 
 def test_11_bulk_trend():
-    limit_fns = {1.0: sine_kernel, 2.0: t_kernel}
-    mu, nu = 0.25, -0.25
-    ok_all = True
-    details = []
-    for alpha, kern in limit_fns.items():
-        limit = kern(mu, nu)
-        errs = []
-        worst_cond = 0.0
-        for n in (64, 128, 256):
-            scaled, _, diag = bulk_scaled_full(alpha, 0.0, 0.0, mu, nu, n)
-            errs.append(abs(scaled - limit))
-            worst_cond = max(worst_cond, diag.condition)
-        ok = errs[0] > errs[1] > errs[2] and worst_cond < 1e12
-        ok_all = ok_all and ok
-        details.append(
-            f"alpha {alpha:g}: errs {errs[0]:.2e}>{errs[1]:.2e}>{errs[2]:.2e}, "
-            f"cond {worst_cond:.1e}"
-        )
-    report("bulk-trend", ok_all, "; ".join(details))
-    assert ok_all
+    gate("bulk-trend", lambda: (
+        selftest.bulk_trend(1.0, (0.25, -0.25), (64, 128, 256))
+        + selftest.bulk_trend(2.0, (0.25, -0.25), (64, 128, 256))))
 
 
 def test_12_monte_carlo_agreement(tmp_path):
-    budget = 60.0
-    start = time.perf_counter()
-    points = ((0.0, 0.0), (0.3, -0.7), (1.0, 1.0))
-    worst_z = 0.0
-    for kind in (HERM, SYM):
-        profile = gaussian_profile(kind)
-        cfg = MCConfig(
-            ensemble=kind, dist=dist_for("gaussian", kind), n=4,
-            samples=100000, seed=20260819, points=points,
-        )
-        for est, (mu, nu) in zip(estimate_f(cfg), points):
-            want = oracle_f(kind, profile, 4, mu, nu)
-            got = scaled_to_real_checked(est.mean)
-            err = scaled_to_real_checked(est.stderr)
-            worst_z = max(worst_z, abs(got - want) / err)
-    # byte-level reproducibility through the CLI surface
-    paths = [tmp_path / "mc_a.csv", tmp_path / "mc_b.csv"]
-    argv = ["mc", "--n", "4", "--samples", "20000", "--seed", "11",
-            "--mu", "0.3", "--nu", "-0.7", "--deterministic"]
-    for p in paths:
-        assert cli.main(argv + ["--out", str(p)]) == 0
-    identical = paths[0].read_bytes() == paths[1].read_bytes()
-    elapsed = time.perf_counter() - start
-    ok = worst_z <= 4.0 and identical and elapsed <= budget
-    report("monte-carlo-agreement", ok,
-           f"worst |z| {worst_z:.2f} (limit 4), byte-identical {identical}, "
-           f"{elapsed:.1f}s of {budget:.0f}s")
-    assert worst_z <= 4.0
-    assert identical
-    assert elapsed <= budget
+    def check():
+        start = time.perf_counter()
+        margins = selftest.monte_carlo_agreement(
+            ((0.0, 0.0), (0.3, -0.7), (1.0, 1.0)), 100000, 20260819, 4.0)
+        # byte-level reproducibility through the CLI surface
+        paths = [tmp_path / "mc_a.csv", tmp_path / "mc_b.csv"]
+        argv = ["mc", "--n", "4", "--samples", "20000", "--seed", "11",
+                "--mu", "0.3", "--nu", "-0.7", "--deterministic"]
+        for p in paths:
+            assert cli.main(argv + ["--out", str(p)]) == 0
+        differ = paths[0].read_bytes() != paths[1].read_bytes()
+        return margins + [Margin("CLI rerun differs", float(differ), 0.0,
+                                 time.perf_counter() - start, 60.0)]
+    gate("monte-carlo-agreement", check)
 
 
 def test_13_radius_independence():
-    tol = 1e-9
-    worst = 0.0
-    for n in (5, 20, 50):
-        params = EgfParams(1.0, 0.0, 0.3, -0.2)
-        a, _ = extract_f(ContourJob.with_defaults(params, n, radius=0.5))
-        b, _ = extract_f(
-            ContourJob.with_defaults(params, n, radius=1.0 - n ** (-1.0 / 3.0))
-        )
-        assert a.sign == b.sign
-        worst = max(worst, abs(a.log_mag - b.log_mag))
-    ok = worst <= tol
-    report("radius-independence", ok, f"worst rel {worst:.3e} (tol {tol:.0e})")
-    assert worst <= tol
+    radii = [(n, 0.5, 1.0 - n ** (-1.0 / 3.0)) for n in (5, 20, 50)]
+    gate("radius-independence", lambda: selftest.radius_independence(
+        EgfParams(1.0, 0.0, 0.3, -0.2), radii, 1e-9))
 
 
 def test_14_selftest_budget():
     full_budget, fast_budget = 300.0, 30.0
     lines = []
     start = time.perf_counter()
-    full_code = selftest_run(fast=False, emit=lines.append)
+    full_code = selftest.run(fast=False, emit=lines.append)
     full_elapsed = time.perf_counter() - start
     start = time.perf_counter()
-    fast_code = selftest_run(fast=True, emit=lines.append)
+    fast_code = selftest.run(fast=True, emit=lines.append)
     fast_elapsed = time.perf_counter() - start
     ok = (full_code == 0 and fast_code == 0
           and full_elapsed <= full_budget and fast_elapsed <= fast_budget)

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from wigcorr import __version__, cli
-from wigcorr.egf_engine import SaddleData
+from wigcorr import __version__, cli, selftest
+from wigcorr.egf_engine import SaddleData, edge_points
 from wigcorr.errors import CancellationError
+from wigcorr.exact_oracle import EnsembleKind, gaussian_profile, oracle_f
 from wigcorr.kernels import airy_kernel
+from wigcorr.selftest import Margin
 
 HEADER = "N,log10_f,sign,scaled,limit,abs_err,condition"
 
@@ -204,6 +206,70 @@ def test_bulk_flagged_rows(monkeypatch, capsys):
         assert row["sign"] == 0
         assert row["scaled"] == 0.0
         assert row["condition"] == 5e12
+
+
+@pytest.mark.parametrize("command, target, extra", [
+    ("edge", "edge_scaled_full", []),
+    ("corr", "edge_scaled_full", ["--nu", "1.0"]),
+    ("oracle", "extract_f", []),
+    ("mc", "estimate_f", ["--samples", "200"]),
+])
+def test_row_refusal_flags_the_row(monkeypatch, capsys, command, target, extra):
+    def refuse(*args, **kwargs):
+        raise CancellationError("forced refusal", at=SaddleData(5e12))
+
+    monkeypatch.setattr(cli, target, refuse)
+    code, out, _ = run(
+        capsys,
+        [command, "--n-list", "2,3", "--format", "json", "--deterministic"]
+        + extra,
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["diagnostics"]["flagged_rows"] == [2, 3]
+    assert [row["N"] for row in payload["rows"]] == [2, 3]
+    for row in payload["rows"]:
+        assert row["sign"] == 0
+        assert row["scaled"] == 0.0
+        assert row["condition"] == 5e12
+
+
+def test_edge_keeps_rows_after_a_refused_one(capsys):
+    # f_1 is exactly 0 at these edge points, so its row is refused; the
+    # N = 2 row must still be computed and match the exact expansion.
+    code, out, err = run(
+        capsys,
+        ["edge", "--n-list", "1,2", "--mu", "-1", "--nu", "-3",
+         "--format", "json", "--deterministic"],
+    )
+    assert code == 2
+    assert err.startswith("wigcorr: row N = 1 refused: ")
+    payload = json.loads(out)
+    assert payload["diagnostics"]["flagged_rows"] == [1]
+    first, second = payload["rows"]
+    assert (first["N"], first["sign"], second["N"]) == (1, 0, 2)
+    kind = EnsembleKind.HERMITIAN
+    exact = oracle_f(kind, gaussian_profile(kind), 2, *edge_points(2, -1.0, -3.0))
+    got = second["sign"] * 10.0 ** second["log10_f"]
+    assert abs(got - exact) <= 1e-10 * abs(exact)
+
+
+def test_failed_selftest_bound_shows_its_margin(monkeypatch):
+    forced = [Margin("forced bound", 2.5, 1e-3, 0.0)]
+    monkeypatch.setattr(selftest, "GROUPS", [("forced", lambda fast: forced)])
+    lines = []
+    assert selftest.run(fast=True, emit=lines.append) == 2
+    assert lines[0] == "FAIL forced (0.0s): forced bound 2.5 <= 0.001"
+
+
+@pytest.mark.parametrize("argv", [
+    ["edge", "--n", "8", "--fast"],
+    ["selftest", "--mu", "3", "--format", "json"],
+])
+def test_options_of_other_subcommands_exit_three(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 3
 
 
 def test_missing_size_is_usage_error(capsys):
