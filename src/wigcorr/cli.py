@@ -187,12 +187,13 @@ def _resolve_n_list(args) -> List[int]:
     return sizes
 
 
-def _base_params(args, sizes: Optional[List[int]] = None,
+def _base_params(args, alpha: float, bstar: float,
+                 sizes: Optional[List[int]] = None,
                  **extra) -> Dict[str, object]:
     params: Dict[str, object] = {
         "command": args.command,
-        "alpha": float(args.alpha),
-        "bstar": float(args.bstar),
+        "alpha": float(alpha),
+        "bstar": float(bstar),
         "mu": float(args.mu),
         "nu": float(args.nu),
     }
@@ -211,7 +212,8 @@ def cmd_edge(args) -> RunReport:
                                              args.mu, args.nu, n)
         return _row(n, raw, scaled, limit, diag.condition)
 
-    report = _table("edge", _base_params(args, sizes), sizes, limit, compute, {
+    params = _base_params(args, args.alpha, args.bstar, sizes)
+    report = _table("edge", params, sizes, limit, compute, {
         "contour_radius": [default_radius(n) for n in sizes],
         "contour_points": [default_points(n) for n in sizes],
     })
@@ -232,7 +234,7 @@ def cmd_bulk(args) -> RunReport:
                                              args.mu, args.nu, n)
         return _row(n, raw, scaled, limit, diag.condition)
 
-    params = _base_params(args, sizes, xi=float(args.xi))
+    params = _base_params(args, args.alpha, args.bstar, sizes, xi=float(args.xi))
     return _table("bulk", params, sizes, limit, compute, {
         "contour_radius": [bulk_radius(n) for n in sizes],
         "contour_points": [bulk_points(n) for n in sizes],
@@ -258,7 +260,8 @@ def cmd_corr(args) -> RunReport:
         value = sigma_from_cross(raw, args.alpha, args.bstar, mu_n, nu_n, n)
         return _row(n, raw, value, limit, diag.condition)
 
-    return _table("corr", _base_params(args, sizes), sizes, limit, compute, {
+    params = _base_params(args, args.alpha, args.bstar, sizes)
+    return _table("corr", params, sizes, limit, compute, {
         "contour_points": [default_points(n) for n in sizes],
     })
 
@@ -273,7 +276,7 @@ def _ensemble_setup(args):
 
 def _ensemble_params(args, sizes: List[int], alpha: float, bstar: float,
                      **extra) -> Dict[str, object]:
-    params = _base_params(args, sizes, alpha=alpha, bstar=bstar,
+    params = _base_params(args, alpha, bstar, sizes,
                           ensemble=args.ensemble, dist=args.dist, **extra)
     if args.dist == "two-point":
         params["two_point_p"] = float(args.two_point_p)
@@ -315,7 +318,8 @@ def cmd_kernel(args) -> RunReport:
         "quadrature_halfwidth": DEFAULT_LINE_QUAD.truncation_halfwidth,
         "quadrature_points": DEFAULT_LINE_QUAD.point_count,
     }
-    return RunReport("kernel", _base_params(args), rows, diagnostics)
+    return RunReport("kernel", _base_params(args, args.alpha, args.bstar),
+                     rows, diagnostics)
 
 
 def _mc_reference(kind: EnsembleKind, moments, alpha: float, bstar: float,
@@ -415,7 +419,13 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage failures exit with status 3 instead of 2;
-    status 2 is reserved for numerical consistency failures."""
+    status 2 is reserved for numerical consistency failures. Options
+    must be spelled in full: an abbreviation would let an option that a
+    subcommand does not read land on one it does (kernel --n on --nu)."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -432,31 +442,45 @@ def _size_list(text: str) -> List[int]:
     return sizes
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, default=1.0,
+def _options(*adders) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    for add in adders:
+        add(parent)
+    return parent
+
+
+def _order_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alpha", type=float, default=1.0,
                         help="kernel family order (default 1)")
-    common.add_argument("--bstar", type=float, default=0.0,
+    parser.add_argument("--bstar", type=float, default=0.0,
                         help="fourth-moment shift in the prefactor exp(bstar)")
-    common.add_argument("--mu", type=float, default=0.0,
+
+
+def _point_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mu", type=float, default=0.0,
                         help="first evaluation offset")
-    common.add_argument("--nu", type=float, default=0.0,
+    parser.add_argument("--nu", type=float, default=0.0,
                         help="second evaluation offset")
-    sizes = common.add_mutually_exclusive_group()
+
+
+def _size_options(parser: argparse.ArgumentParser) -> None:
+    sizes = parser.add_mutually_exclusive_group()
     sizes.add_argument("--n", type=int, help="single matrix size")
     sizes.add_argument("--n-list", dest="n_list", type=_size_list,
                        metavar="A,B,C", help="ascending matrix sizes")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
+
+
+def _output_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="report format (default csv)")
-    common.add_argument("--out", metavar="PATH",
+    parser.add_argument("--out", metavar="PATH",
                         help="write the report to a file instead of stdout")
-    common.add_argument("--deterministic", action="store_true",
+    parser.add_argument("--deterministic", action="store_true",
                         help="suppress wall-clock diagnostics for "
                              "byte-reproducible reports")
-    return common
 
 
-def _add_mc_options(parser: argparse.ArgumentParser) -> None:
+def _ensemble_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ensemble", choices=sorted(_ENSEMBLES),
                         default="hermitian")
     parser.add_argument("--dist", choices=_DISTS, default="gaussian")
@@ -466,7 +490,14 @@ def _add_mc_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> _Parser:
-    common = _common_options()
+    # Each subcommand takes only the options it reads: the ensemble and
+    # entry law of oracle and mc fix alpha and bstar, and a kernel value
+    # has no matrix size.
+    common = _options(_order_options, _point_options, _size_options,
+                      _output_options)
+    ensemble = _options(_point_options, _size_options, _output_options,
+                        _ensemble_options)
+    size_free = _options(_order_options, _point_options, _output_options)
     parser = _Parser(
         prog="wigcorr",
         description="Correlation functions of Wigner characteristic "
@@ -501,24 +532,23 @@ def _build_parser() -> _Parser:
                     "characteristic-polynomial values at edge-scaled "
                     "points, compared with the limit kernel ratio.",
     )
-    p_oracle = sub.add_parser(
-        "oracle", parents=[common],
+    sub.add_parser(
+        "oracle", parents=[ensemble],
         help="exact small-n expansion against contour extraction",
         description="Exact moment-expansion values for n <= "
                     f"{ORACLE_F_MAX_N}, compared with the "
                     "generating-function extraction route. The ensemble "
                     "and entry distribution fix alpha and bstar.",
     )
-    _add_mc_options(p_oracle)
     sub.add_parser(
-        "kernel", parents=[common],
+        "kernel", parents=[size_free],
         help="limit kernel values, closed form against quadrature",
         description="Single limit-kernel evaluation; the closed form "
                     "(orders 0, 1, 2) is compared against the defining "
                     "line integral.",
     )
     p_mc = sub.add_parser(
-        "mc", parents=[common],
+        "mc", parents=[ensemble],
         help="Monte Carlo estimates against oracle or extraction",
         description="Monte Carlo estimate at raw points (mu, nu). For "
                     "--stat f the normalized column is the ratio of the "
@@ -527,7 +557,6 @@ def _build_parser() -> _Parser:
                     "sigma the columns hold the estimated and reference "
                     "correlation coefficients and the batch-means spread.",
     )
-    _add_mc_options(p_mc)
     p_mc.add_argument("--samples", type=int, default=10000,
                       help="Monte Carlo sample count (default 10000)")
     p_mc.add_argument("--seed", type=int, default=0,

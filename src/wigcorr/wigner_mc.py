@@ -4,11 +4,20 @@ Sample i is drawn from the Philox counter-mode substream at counter
 [0, 0, 0, i] of the seed's key, so estimates are bit-identical for a
 fixed seed no matter how sampling is chunked or threaded. A chunk of
 samples reuses one Philox, moved to each sample's counter by assigning
-its state, draws each sample's entries in one call and assembles the
-whole stack of matrices at once; sample_rng and sample_matrix give the
-same matrix one sample at a time. Determinant values live in log space
-from the moment they are computed; sample means use a running
-max-exponent shift.
+its state, and fills each sample's row with the law's raw variates
+(standard normals or uniforms) in one call; the law's map to entries
+then runs once over the chunk, in place, and the whole stack of
+matrices is assembled at once. sample_rng and sample_matrix give the
+same matrix one sample at a time.
+
+Each chunk is factored by one of two routes. With at most
+EIGEN_ROUTE_ABOVE distinct lambdas, slogdet factors X - lambda once per
+lambda. With more, one batched eigvalsh gives the spectrum, and
+sign det(X - lambda) and log|det(X - lambda)| = sum_i log|lambda_i -
+lambda| follow one lambda at a time; the two routes agree to rounding,
+and an exact eigenvalue reads sign 0 and log -inf on both. Determinant
+values live in log space from the moment they are computed; sample
+means use a running max-exponent shift.
 
 Validation-only at small n by design: the relative spread of the
 determinant product grows with matrix size, so convergence claims about
@@ -48,6 +57,10 @@ MC_MAX_N = 256
 MC_MIN_SAMPLES = 100
 SEED_LIMIT = 1 << 128  # a Philox key is two 64-bit words
 DET_IMAG_TOL = 1e-7
+# Above this many distinct lambdas a chunk is factored once, by its
+# eigenvalues, instead of once per lambda by slogdet: one batched eigvalsh
+# costs about 3 to 5 slogdet calls at n = 4..256 in both ensembles (2 cores).
+EIGEN_ROUTE_ABOVE = 8
 
 DIST_KINDS = ("gaussian", "rademacher", "uniform", "two_point")
 
@@ -76,20 +89,38 @@ class EntryDist:
         if not (0.0 < self.two_point_p < 1.0):
             raise DomainError(f"two_point_p must be in (0, 1), got {self.two_point_p}")
 
-    def draw(self, rng: Generator, size) -> np.ndarray:
+    def raw_sampler(self, rng: Generator):
+        """rng's sampler of the raw variates the law maps to entries:
+        standard normals for the Gaussian law, uniforms on [0, 1) for
+        the others. It takes a size or an out= array to fill."""
+        return rng.standard_normal if self.kind == "gaussian" else rng.random
+
+    def map_raw(self, raw: np.ndarray) -> np.ndarray:
+        """Map raw variates to entries in place and return them; each
+        law's one formula, the arithmetic of numpy's normal(0, sd),
+        uniform(-c, c) and random() < p samplers, so draw's output is
+        theirs bit for bit."""
         tv = self.target_variance
         if self.kind == "gaussian":
-            return rng.normal(0.0, math.sqrt(tv), size)
-        if self.kind == "rademacher":
-            root = math.sqrt(tv)
-            return np.where(rng.random(size) < 0.5, root, -root)
-        if self.kind == "uniform":
+            raw *= math.sqrt(tv)
+            raw += 0.0  # normal() adds loc after scaling, so -0.0 reads 0.0
+        elif self.kind == "uniform":
             c = math.sqrt(3.0 * tv)
-            return rng.uniform(-c, c, size)
-        p = self.two_point_p
-        hi = math.sqrt(tv) * math.sqrt((1.0 - p) / p)
-        lo = -math.sqrt(tv) * math.sqrt(p / (1.0 - p))
-        return np.where(rng.random(size) < p, hi, lo)
+            raw *= 2.0 * c
+            raw += -c
+        else:
+            # Rademacher is the two-point law at p = 1/2: its atoms are
+            # then exactly +-sqrt(tv).
+            p = 0.5 if self.kind == "rademacher" else self.two_point_p
+            hi = math.sqrt(tv) * math.sqrt((1.0 - p) / p)
+            lo = -math.sqrt(tv) * math.sqrt(p / (1.0 - p))
+            take_hi = raw < p
+            raw.fill(lo)
+            np.copyto(raw, hi, where=take_hi)
+        return raw
+
+    def draw(self, rng: Generator, size) -> np.ndarray:
+        return self.map_raw(self.raw_sampler(rng)(size))
 
 
 def moments_of(dist: EntryDist) -> MomentProfile:
@@ -212,13 +243,13 @@ def _draw_chunk(cfg: MCConfig, start: int, count: int) -> np.ndarray:
     # assigning it is several times cheaper than a new generator.
     state = bitgen.state
     counter = state["state"]["counter"]
-    width = _draw_width(cfg)
-    draws = np.empty((count, width))
+    fill = cfg.dist.raw_sampler(rng)
+    draws = np.empty((count, _draw_width(cfg)))
     for c in range(count):
         counter[3] = start + c
         bitgen.state = state
-        draws[c] = cfg.dist.draw(rng, width)
-    return _assemble(cfg, draws)
+        fill(out=draws[c])
+    return _assemble(cfg, cfg.dist.map_raw(draws))
 
 
 def _chunk_size(cfg: MCConfig) -> int:
@@ -249,12 +280,18 @@ def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
     eye = np.eye(n, dtype=dtype)
 
     def run_chunk(start: int) -> None:
-        count = min(chunk, samples - start)
-        mats = _draw_chunk(cfg, start, count)
+        rows = slice(start, min(start + chunk, samples))
+        mats = _draw_chunk(cfg, start, rows.stop - start)
+        if lam_arr.size <= EIGEN_ROUTE_ABOVE:
+            for j, lam in enumerate(lam_arr):
+                signs[rows, j], logs[rows, j] = np.linalg.slogdet(mats - lam * eye)
+            return
+        eigs = np.linalg.eigvalsh(mats)
         for j, lam in enumerate(lam_arr):
-            sgn, logabs = np.linalg.slogdet(mats - lam * eye)
-            signs[start:start + count, j] = sgn
-            logs[start:start + count, j] = logabs
+            gaps = eigs - lam
+            signs[rows, j] = np.prod(np.sign(gaps), axis=1)
+            with np.errstate(divide="ignore"):  # an exact eigenvalue: -inf
+                logs[rows, j] = np.log(np.abs(gaps)).sum(axis=1)
 
     starts = range(0, samples, chunk)
     workers = thread_count()

@@ -265,6 +265,14 @@ def test_failed_selftest_bound_shows_its_margin(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["edge", "--n", "8", "--fast"],
     ["selftest", "--mu", "3", "--format", "json"],
+    # the ensemble and entry law fix alpha and bstar
+    ["oracle", "--n", "2", "--alpha", "3"],
+    ["oracle", "--n", "2", "--bstar", "1"],
+    ["mc", "--n", "2", "--samples", "200", "--alpha", "2"],
+    ["mc", "--n", "2", "--samples", "200", "--bstar", "1"],
+    # a kernel value has no matrix size; --n must not pass for --nu
+    ["kernel", "--n", "5"],
+    ["kernel", "--n-list", "5,6"],
 ])
 def test_options_of_other_subcommands_exit_three(argv, capsys):
     with pytest.raises(SystemExit) as info:

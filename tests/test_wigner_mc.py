@@ -21,6 +21,7 @@ from wigcorr import wigner_mc
 from wigcorr.numeric_core import scaled_to_real_checked
 from wigcorr.wigner_mc import (
     DIST_KINDS,
+    EIGEN_ROUTE_ABOVE,
     MC_MAX_N,
     EntryDist,
     MCConfig,
@@ -86,6 +87,30 @@ def test_moments_of_two_point():
     m = moments_of(EntryDist("two_point", 1.0, two_point_p=0.5))
     assert m.m3 == pytest.approx(0.0, abs=1e-15)
     assert m.m4 == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("tv", [0.5, 1.0])
+@pytest.mark.parametrize("seed", [0, 20240917])
+def test_entry_dist_draw_is_numpys_own_sampler(tv, seed):
+    def draw(kind, p=0.5):
+        return EntryDist(kind, tv, two_point_p=p).draw(sample_rng(seed, 3), 2000)
+
+    def numpy_rng():
+        return sample_rng(seed, 3)
+
+    sd, c = math.sqrt(tv), math.sqrt(3.0 * tv)
+    assert _same_bytes(draw("gaussian"), numpy_rng().normal(0.0, sd, 2000))
+    assert _same_bytes(draw("uniform"), numpy_rng().uniform(-c, c, 2000))
+    assert _same_bytes(draw("rademacher"),
+                       np.where(numpy_rng().random(2000) < 0.5, sd, -sd))
+    p = 0.3
+    got = draw("two_point", p)
+    np.testing.assert_array_equal(got > 0.0, numpy_rng().random(2000) < p)
+    hi, lo = got.max(), got.min()
+    assert set(np.unique(got)) == {hi, lo}
+    # the two atoms give mean 0 and variance tv up to rounding
+    assert abs(p * hi + (1.0 - p) * lo) <= 4e-16 * hi
+    assert p * hi * hi + (1.0 - p) * lo * lo == pytest.approx(tv, rel=4e-16)
 
 
 def test_draws_realize_declared_moments():
@@ -222,6 +247,81 @@ def test_collect_dets_across_chunk_boundary():
             assert logs[i, j] == logabs
 
 
+def _slogdet_reference(mats, lambdas):
+    eye = np.eye(mats.shape[-1])
+    out = [np.linalg.slogdet(mats - lam * eye) for lam in lambdas]
+    return (np.stack([np.sign(o.sign.real) for o in out], axis=1),
+            np.stack([o.logabsdet for o in out], axis=1))
+
+
+def _many_lambdas(count):
+    return tuple(np.linspace(-2.2, 2.2, count).tolist())
+
+
+@pytest.mark.parametrize("kind", [HERM, SYM])
+@pytest.mark.parametrize("law", DIST_KINDS)
+def test_eigen_route_agrees_with_slogdet_per_sample(kind, law):
+    eps = np.finfo(float).eps
+    for n in (1, 4, 16, 64):
+        cfg = MCConfig(kind, dist_for(law, kind, two_point_p=0.3), n, 100, 31)
+        lambdas = _many_lambdas(EIGEN_ROUTE_ABOVE + 3)
+        signs, logs = _collect_dets(cfg, lambdas)
+        mats = _draw_chunk(cfg, 0, cfg.samples)
+        ref_signs, ref_logs = _slogdet_reference(mats, lambdas)
+        np.testing.assert_array_equal(signs, ref_signs)
+        # Both routes are backward stable: eigvalsh returns each lambda_i
+        # within about n eps |X| of the exact one, and slogdet factors
+        # X - lambda + E with |E| within about n eps |X - lambda|. Either
+        # moves log|det(X - lambda)| = sum_i log|lambda_i - lambda| by at
+        # most |E| sum_i 1/|lambda_i - lambda| to first order; summing n
+        # logs adds n eps sum_i |log|lambda_i - lambda||.
+        eigs = np.linalg.eigvalsh(mats)
+        norm = np.abs(eigs).max(axis=1)
+        for j, lam in enumerate(lambdas):
+            gaps = np.abs(eigs - lam)
+            tol = n * eps * (2.0 * (norm + abs(lam)) * (1.0 / gaps).sum(axis=1)
+                             + 2.0 * np.abs(np.log(gaps)).sum(axis=1))
+            assert np.all(np.abs(logs[:, j] - ref_logs[:, j]) <= tol), (n, lam)
+
+
+def test_exact_singular_sample_on_both_routes():
+    # n = 1 Rademacher real symmetric samples are exactly +-sqrt(2)
+    cfg = MCConfig(SYM, dist_for("rademacher", SYM), 1, 100, 4)
+    root = math.sqrt(2.0)
+    values = _draw_chunk(cfg, 0, cfg.samples)[:, 0, 0]
+    assert set(values.tolist()) == {root, -root}
+    few = (root, -root)
+    many = few + _many_lambdas(EIGEN_ROUTE_ABOVE)
+    for lambdas in (few, many):
+        signs, logs = _collect_dets(cfg, lambdas)
+        for j, lam in enumerate(few):
+            hit = values == lam
+            assert np.all(signs[hit, j] == 0.0)
+            assert np.all(logs[hit, j] == -np.inf)
+            assert np.all(signs[~hit, j] != 0.0)
+            assert np.all(np.isfinite(logs[~hit, j]))
+
+
+def test_route_selected_by_lambda_count(monkeypatch):
+    calls = {"slogdet": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setenv("RMT_THREADS", "1")
+    cfg = MCConfig(SYM, dist_for("uniform", SYM), 5, 300, 8)
+    at = _many_lambdas(EIGEN_ROUTE_ABOVE)
+    signs, logs = _collect_dets(cfg, at)
+    assert calls == {"slogdet": EIGEN_ROUTE_ABOVE, "eigvalsh": 0}
+    # at the crossover the values are the per-lambda slogdet ones exactly
+    ref_signs, ref_logs = _slogdet_reference(_draw_chunk(cfg, 0, cfg.samples), at)
+    assert _same_bytes(signs, ref_signs) and _same_bytes(logs, ref_logs)
+    calls.update(slogdet=0, eigvalsh=0)
+    _collect_dets(cfg, _many_lambdas(EIGEN_ROUTE_ABOVE + 1))
+    assert calls == {"slogdet": 0, "eigvalsh": 1}
+
+
 def test_estimate_f_rejects_rotated_determinant(monkeypatch):
     # det [[0, 1], [5j, 0]] = -5j: a Hermitian-ensemble determinant with
     # that phase is refused, not rounded to a real sign
@@ -234,17 +334,24 @@ def test_estimate_f_rejects_rotated_determinant(monkeypatch):
 
 
 def test_estimates_independent_of_thread_count(monkeypatch):
-    # 1200 samples at n = 64 span three chunks (510 samples each), so
+    # 1200 samples at n = 64 span three chunks (510 samples each), and
+    # 9000 at n = 16 three chunks (3971 each) on the eigenvalue route, so
     # this exercises multi-chunk stitching under both worker counts
-    cfg = MCConfig(
-        HERM, dist_for("gaussian", HERM), 64, 1200, 9, points=((0.0, 0.5),)
-    )
-    monkeypatch.setenv("RMT_THREADS", "1")
-    serial, = estimate_f(cfg)
-    monkeypatch.setenv("RMT_THREADS", "3")
-    threaded, = estimate_f(cfg)
-    assert serial.mean == threaded.mean
-    assert serial.stderr == threaded.stderr
+    lambdas = _many_lambdas(EIGEN_ROUTE_ABOVE + 2)
+    many = tuple(zip(lambdas[::2], lambdas[1::2]))
+    for cfg in (
+        MCConfig(HERM, dist_for("gaussian", HERM), 64, 1200, 9,
+                 points=((0.0, 0.5),)),
+        MCConfig(SYM, dist_for("two_point", SYM, two_point_p=0.3), 16, 9000,
+                 9, points=many),
+    ):
+        assert cfg.samples > 2 * _chunk_size(cfg)
+        monkeypatch.setenv("RMT_THREADS", "1")
+        serial = estimate_f(cfg)
+        monkeypatch.setenv("RMT_THREADS", "3")
+        threaded = estimate_f(cfg)
+        assert [e.mean for e in serial] == [e.mean for e in threaded]
+        assert [e.stderr for e in serial] == [e.stderr for e in threaded]
 
 
 def test_estimate_f_matches_oracle():
