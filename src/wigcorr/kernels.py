@@ -45,10 +45,17 @@ IMAG_TOL = 1e-10
 
 DEFAULT_LINE_QUAD = QuadratureSpec(truncation_halfwidth=20.0, point_count=4000)
 _DIAGONAL_BLOCK = 1024  # diagonal points per matrix product in i_alpha_diagonal
+_NODE_STRIDE = 64  # inner factor of the node index in i_alpha_diagonal
+
+
+def _check_finite(mu: float, nu: float, name: str) -> None:
+    if not (math.isfinite(mu) and math.isfinite(nu)):
+        raise DomainError(f"{name} arguments ({mu}, {nu}) not finite")
 
 
 def sine_kernel(mu: float, nu: float) -> float:
     """sin(pi d) / (pi d) with d = mu - nu, continuously extended."""
+    _check_finite(mu, nu, "sine_kernel")
     d = mu - nu
     if abs(d) < SINE_TAYLOR_AT:
         return 1.0 - (math.pi * d) ** 2 / 6.0
@@ -57,6 +64,7 @@ def sine_kernel(mu: float, nu: float) -> float:
 
 def t_kernel(mu: float, nu: float) -> float:
     """2 sin(pi d)/(pi d^3) - 2 cos(pi d)/d^2 with d = mu - nu."""
+    _check_finite(mu, nu, "t_kernel")
     d = mu - nu
     if abs(d) < T_TAYLOR_AT:
         return 2.0 * math.pi ** 2 / 3.0 - math.pi ** 4 * d * d / 15.0
@@ -64,7 +72,8 @@ def t_kernel(mu: float, nu: float) -> float:
 
 
 def _check_box(mu: float, nu: float, name: str) -> None:
-    if abs(mu) > ARG_BOX or abs(nu) > ARG_BOX:
+    # written so that NaN fails it too
+    if not (abs(mu) <= ARG_BOX and abs(nu) <= ARG_BOX):
         raise DomainError(
             f"{name} arguments ({mu}, {nu}) outside [-{ARG_BOX}, {ARG_BOX}]^2"
         )
@@ -130,37 +139,56 @@ def i_alpha(alpha: float, mu: float, nu: float,
         return np.exp(w ** 3 / 12.0 - s * w - q / w) / w ** (alpha + 0.5)
 
     val = trapezoid_line(integrand, quad) / (4.0 * math.pi ** 1.5)
-    # Tolerance is absolute at unit scale; large values are held to the
-    # same relative standard.
-    if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
+    return float(_real_part(np.array([val]), "i_alpha", lambda i: (alpha, mu, nu))[0])
+
+
+def _real_part(vals: np.ndarray, name: str, at: Callable[[int], object]) -> np.ndarray:
+    """vals.real, raising at(i) for the first imaginary residue above
+    IMAG_TOL (absolute at unit scale, relative above it)."""
+    bad = np.abs(vals.imag) > IMAG_TOL * np.maximum(1.0, np.abs(vals.real))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NumericalConsistencyError(
-            f"i_alpha imaginary residue {val.imag:.3e} exceeds tolerance",
-            at=(alpha, mu, nu),
-        )
-    return val.real
+            f"{name} imaginary residue {vals[i].imag:.3e} exceeds tolerance", at=at(i))
+    return vals.real
 
 
 def i_alpha_diagonal(alpha: float, xs: np.ndarray) -> np.ndarray:
-    """Vectorized i_alpha(alpha, x, x) over an array of diagonal points."""
+    """Vectorized i_alpha(alpha, x, x) over an array of diagonal points.
+
+    With node index k = aB + b (B = _NODE_STRIDE) the node exponentials
+    factor as exp(-x w_k) = exp(-x w_aB) exp(i x b h), so a point needs
+    ceil(n/B) + B exponentials and one matrix product instead of n. The
+    rounding of the factored phase leaves it within 4e-13 of i_alpha at
+    x = -10 (relative above 1), the floor set by terms that grow as e^|x|.
+    """
     if not (0.0 <= alpha <= ALPHA_MAX):
         raise DomainError(f"alpha {alpha} outside [0, {ALPHA_MAX}]")
     xs = np.asarray(xs, dtype=float)
-    if xs.size and (np.abs(xs) > ARG_BOX).any():
-        raise DomainError("diagonal points outside the argument box")
+    if xs.size and not (np.abs(xs) <= ARG_BOX).all():
+        raise DomainError("diagonal points outside the argument box or not finite")
     u = DEFAULT_LINE_QUAD.nodes()
     h = 2.0 * DEFAULT_LINE_QUAD.truncation_halfwidth / (u.size - 1)
     w = 1.0 - 1j * u
-    fixed = np.exp(w ** 3 / 12.0) / w ** (alpha + 0.5)
     weights = np.full(u.size, h)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    fixed_w = fixed * weights
-    out = np.empty(xs.size)
+    # fixed_w[b, a] is the weighted fixed factor of node aB + b, zero past the last node
+    fixed_w = np.exp(w ** 3 / 12.0) / w ** (alpha + 0.5) * weights
+    fixed_w = np.pad(fixed_w, (0, -u.size % _NODE_STRIDE)).reshape(-1, _NODE_STRIDE).T
+    coarse, fine_phase = w[::_NODE_STRIDE], 1j * h * np.arange(_NODE_STRIDE)
+    out = np.empty(xs.size, dtype=complex)
     flat = xs.ravel()
     for i in range(0, flat.size, _DIAGONAL_BLOCK):
         block = flat[i:i + _DIAGONAL_BLOCK, None]
-        out[i:i + _DIAGONAL_BLOCK] = (np.exp(-block * w[None, :]) @ fixed_w).real
-    return out.reshape(xs.shape) / (4.0 * math.pi ** 1.5)
+        # numpy hands a one-row product to gemv, which rounds unlike gemm;
+        # two rows keep each point's bits independent of its block
+        rows = np.repeat(block, 2, axis=0) if len(block) == 1 else block
+        inner = (np.exp(rows * fine_phase) @ fixed_w)[:len(block)]
+        out[i:i + _DIAGONAL_BLOCK] = (np.exp(-block * coarse) * inner).sum(axis=1)
+    out /= 4.0 * math.pi ** 1.5
+    real = _real_part(out, "i_alpha_diagonal", lambda i: (alpha, float(flat[i])))
+    return real.reshape(xs.shape)
 
 
 def airy_product(x: float, y: float) -> float:

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wigcorr.errors import DomainError
+from wigcorr.errors import DomainError, NumericalConsistencyError
 from wigcorr.kernels import (
     ALPHA_MAX,
     ARG_BOX,
@@ -118,6 +119,54 @@ def test_i_alpha_diagonal_matches_scalar():
     assert np.array_equal(i_alpha_diagonal(1.0, long), stitched)
     with pytest.raises(DomainError):
         i_alpha_diagonal(1.0, np.array([0.0, ARG_BOX + 0.5]))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+def test_i_alpha_diagonal_matches_scalar_across_orders(alpha):
+    # the factored node exponentials round differently from the scalar
+    # route; the gap is set by the e^|x| growth of the terms at x = -10
+    xs = np.linspace(-10.0, 10.0, 81)
+    want = np.array([i_alpha(alpha, x, x) for x in xs])
+    got = i_alpha_diagonal(alpha, xs)
+    assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-10.0, 10.0), st.floats(0.5, 40.0), st.integers(1, 1100))
+@example(9.52, 20.48, 512)  # the fine grid ends in a one-point block
+def test_i_alpha_diagonal_grid_bits_do_not_depend_on_block(x, span, count):
+    # diag_recursion_check reads the coarse grid off every other fine node,
+    # so each point's bits must not depend on its neighbours or its block
+    cutoff = min(x + span, ARG_BOX)
+    grid = np.linspace(x, cutoff, 2 * count + 1)
+    fine = i_alpha_diagonal(1.0, grid)
+    coarse = i_alpha_diagonal(1.0, np.linspace(x, cutoff, count + 1))
+    assert np.array_equal(fine[::2], coarse)
+    assert i_alpha_diagonal(1.0, grid[count:count + 1])[0] == fine[count]
+
+
+def test_i_alpha_diagonal_refuses_imaginary_residue():
+    # at x = -30 the quadrature leaves an imaginary part far above
+    # IMAG_TOL on both routes; the diagonal names the first such point
+    with pytest.raises(NumericalConsistencyError):
+        i_alpha(0.0, -30.0, -30.0)
+    with pytest.raises(NumericalConsistencyError) as err:
+        i_alpha_diagonal(0.0, np.array([0.0, -30.0, -29.5]))
+    assert err.value.at == (0.0, -30.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sine_kernel(math.nan, 0.0),
+    lambda: t_kernel(0.0, math.nan),
+    lambda: airy_kernel(math.nan, 0.0),
+    lambda: b_kernel(0.0, math.nan),
+    lambda: i_alpha(1.0, math.nan, 0.0),
+    lambda: i_alpha_diagonal(1.0, np.array([0.0, math.nan])),
+], ids=["sine_kernel", "t_kernel", "airy_kernel", "b_kernel", "i_alpha",
+        "i_alpha_diagonal"])
+def test_nan_arguments_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_i_alpha_diagonal_positive():
