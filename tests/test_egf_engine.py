@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wigcorr.errors import CancellationError, DomainError
+from wigcorr.errors import CancellationError, DomainError, NumericalConsistencyError
 from wigcorr.egf_engine import (
     BULK_MAX_N,
     EDGE_MAX_N,
@@ -24,10 +24,12 @@ from wigcorr.egf_engine import (
     edge_points,
     edge_scaled_f,
     edge_scaled_full,
-    egf_eval,
     extract_f,
     rho,
     sigma_alpha,
+    _circle_logs,
+    _disc_logs,
+    _log_egf,
 )
 from wigcorr.exact_oracle import (
     EnsembleKind,
@@ -64,18 +66,75 @@ def test_default_contour_parameters():
     assert default_points(1000) == 5120
 
 
-def test_egf_eval_log_value():
+def test_log_egf_value():
     # mu = nu = 0 leaves only the two principal logs
     p = EgfParams(1.0, 0.0, 0.0, 0.0)
     want = 1.5 * math.log(2.0) - 0.5 * math.log(1.5)
-    got = egf_eval(p, 0.5)
+    z = np.array([0.5 + 0j])
+    got = complex(_log_egf(p, z, _disc_logs(z))[0])
     assert got.real == pytest.approx(want, rel=1e-15)
     assert got.imag == 0.0
-    arr = egf_eval(p, np.array([0.5, 0.5j]))
+    z = np.array([0.5, 0.5j])
+    arr = _log_egf(p, z, _disc_logs(z))
     assert arr.shape == (2,)
     assert arr[0].real == pytest.approx(want, rel=1e-15)
     with pytest.raises(DomainError):
-        egf_eval(p, 1.0)
+        _disc_logs(np.array([1.0 + 0j]))
+
+
+def _extraction_bits(job):
+    try:
+        value, diag = extract_f(job)
+    except (CancellationError, NumericalConsistencyError) as exc:
+        return type(exc).__name__, str(exc)
+    return value.sign, value.log_mag.hex(), diag.condition.hex()
+
+
+def test_circle_log_cache_cannot_change_a_value():
+    # 10 circles, more than the cache holds, each shared by several
+    # moments and offsets; some jobs take the recurrence and some raise.
+    jobs = [
+        ContourJob.with_defaults(EgfParams(alpha, bstar, mu, nu), n, radius=radius)
+        for n in (3, 20, 1000, 64000)
+        for radius in (None, 0.7, 0.85)
+        for alpha, bstar, (mu, nu) in (
+            (1.0, 0.0, edge_points(n, 0.0, 1.0)),
+            (2.0, 0.5, edge_points(n, -1.0, 0.5)),
+            (1.5, -0.25, (0.3, -0.7)),
+        )
+    ]
+    cold = []
+    for job in jobs:
+        _circle_logs.cache_clear()
+        cold.append(_extraction_bits(job))
+    _circle_logs.cache_clear()
+    warm = [_extraction_bits(job) for job in jobs]
+    backward = [_extraction_bits(job) for job in reversed(jobs)][::-1]
+    assert warm == cold
+    assert backward == cold
+    logs = _circle_logs(0.7, 2048)
+    with pytest.raises(ValueError):
+        logs[0, 0] = 0.0
+
+
+def test_circles_with_equal_point_counts_keep_their_own_logs():
+    # Both circles of each pair stay on the contour (conditions about
+    # 87 and 25 at n = 5, 3.4e3 and 110 at n = 20), so a cache keyed by
+    # the point count or the order alone would hand one circle the
+    # other's logs and move its value.
+    p = EgfParams(1.0, 0.25, 0.4, -0.6)
+    for n, radii in ((5, (0.5, 0.7)), (20, (0.7, 0.85))):
+        jobs = [ContourJob.with_defaults(p, n, radius=r) for r in radii]
+        assert jobs[0].points == jobs[1].points
+        cold = []
+        for job in jobs:
+            _circle_logs.cache_clear()
+            cold.append(extract_f(job))
+        assert [extract_f(job) for job in jobs + jobs] == cold + cold
+        (a, da), (b, db) = cold
+        assert max(da.condition, db.condition) < MP_CONDITION_AT
+        assert a.sign == b.sign
+        assert a.log_mag == pytest.approx(b.log_mag, abs=1e-12)
 
 
 def test_first_coefficients_exact():
