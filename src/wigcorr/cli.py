@@ -31,8 +31,6 @@ from .egf_engine import (
     ContourJob,
     EgfParams,
     SaddleData,
-    bulk_points,
-    bulk_radius,
     bulk_scaled_full,
     default_points,
     default_radius,
@@ -235,10 +233,7 @@ def cmd_bulk(args) -> RunReport:
         return _row(n, raw, scaled, limit, diag.condition)
 
     params = _base_params(args, args.alpha, args.bstar, sizes, xi=float(args.xi))
-    return _table("bulk", params, sizes, limit, compute, {
-        "contour_radius": [bulk_radius(n) for n in sizes],
-        "contour_points": [bulk_points(n) for n in sizes],
-    })
+    return _table("bulk", params, sizes, limit, compute, {"route": "recurrence"})
 
 
 def cmd_corr(args) -> RunReport:

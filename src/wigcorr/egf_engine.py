@@ -12,6 +12,9 @@ read-only for the 8 latest (radius, points) pairs, at most about 13 MB
 (8 circles near n = 10^6). Work that shares a circle gains (sigma_alpha,
 sweeps over alpha, bstar or offsets at fixed n, every n <= 8); one pass
 over distinct n, as in an `edge` n-list, does not.
+
+Bulk values (n <= 512) use no circle: they come from the 40-digit f_n
+recurrence, which the contour falls back to when it cancels.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ MP_MAX_N = 4096
 # estimate (near zeros of f_n in the bulk), so accepted values stay
 # within about 3e-12.
 _RECURRENCE_DIGITS = 40
+_RECURRENCE_UNIT = 0.5 * 10.0 ** (1 - _RECURRENCE_DIGITS)
 _RECURRENCE_TOL = 1e-15
 _RECURRENCE_CONTEXT = decimal.Context(
     prec=_RECURRENCE_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
@@ -141,8 +145,8 @@ class ContourJob:
 
 @dataclass(frozen=True)
 class SaddleData:
-    """Diagnostics of one extraction: the contour's cancellation,
-    max |integrand| / |result|."""
+    """Diagnostics of one value: the contour's cancellation,
+    max |integrand| / |result|, or for a bulk value the recurrence's."""
 
     condition: float
 
@@ -263,15 +267,8 @@ def extract_f(job: ContourJob):
     ill_conditioned = mag == 0.0 or 1.0 / mag > MP_CONDITION_AT
     if (ill_conditioned or abs(mean.imag) > IMAG_RESIDUE_TOL * mag) \
             and job.n <= MP_MAX_N:
-        sign, log_c, error = _recurrence_f(params, job.n)
-        if not error <= _RECURRENCE_TOL:
-            raise CancellationError(
-                f"recurrence error estimate {error:.3e} above "
-                f"{_RECURRENCE_TOL:.0e} at n = {job.n}",
-                at=job,
-            )
+        value, log_c, _ = _recurrence_value(params, job.n, job)
         condition = max(1.0, math.exp(min(shift - log_c, 709.0)))
-        value = scaled_from_log(sign, float(gammaln(job.n + 1)) + log_c)
         return value, SaddleData(condition)
     if mag == 0.0:
         raise CancellationError("contour average cancelled to exact zero")
@@ -328,9 +325,22 @@ def _recurrence_f(params: EgfParams, n: int):
                 + (squares + 2 * abs(bstar) + power + half + abs(2 * (m - 1))) * abs(c1)
                 + (4 * abs(bstar) + power + half + abs(m - 3)) * abs(c3)
                 + 2 * abs(bstar) * abs(c5))
-        unit = 0.5 * 10.0 ** (1 - _RECURRENCE_DIGITS)
-        error = (n + 1) * unit * float(size / abs(total))
+        error = (n + 1) * _RECURRENCE_UNIT * float(size / abs(total))
         return (1 if total > 0 else -1), float(abs(window[0]).ln()), error
+
+
+def _recurrence_value(params: EgfParams, n: int, at):
+    """f_n = n! c_n from `_recurrence_f` as a ScaledReal, with log |c_n|
+    and the error estimate; a CancellationError naming `at` refuses an
+    estimate above _RECURRENCE_TOL."""
+    sign, log_c, error = _recurrence_f(params, n)
+    if not error <= _RECURRENCE_TOL:
+        raise CancellationError(
+            f"recurrence error estimate {error:.3e} above "
+            f"{_RECURRENCE_TOL:.0e} at n = {n}",
+            at=at,
+        )
+    return scaled_from_log(sign, float(gammaln(n + 1)) + log_c), log_c, error
 
 
 def edge_points(n: int, mu: float, nu: float):
@@ -359,22 +369,14 @@ def edge_scaled_f(alpha: float, bstar: float, mu: float, nu: float, n: int) -> f
     return scaled
 
 
-def bulk_radius(n: int) -> float:
-    return max(MIN_RADIUS, 1.0 - 3.0 / n)
-
-
-def bulk_points(n: int) -> int:
-    return max(2048, 32 * n)
-
-
 def bulk_scaled_full(alpha: float, bstar: float, xi: float, mu: float,
                      nu: float, n: int):
     """Bulk-scaled value with raw coefficient and diagnostics.
 
-    The bulk integrand has two oscillatory saddles and the scaled value
-    comes from a cancellation of order exp(n xi^2 / 2 + ...); a contour
-    well inside the default edge radius keeps the cancellation, and hence
-    the condition number, within double precision for n <= 512.
+    The bulk integrand has two oscillatory saddles, so a contour average
+    cancels by a factor that grows with n. The f_n recurrence does not:
+    the value comes from it directly, and the condition is its last
+    step's cancellation kappa (error estimate over (n+1) u).
     """
     if alpha not in (1.0, 2.0):
         raise DomainError(f"bulk mode supports alpha 1 or 2, got {alpha}")
@@ -386,22 +388,10 @@ def bulk_scaled_full(alpha: float, bstar: float, xi: float, mu: float,
     root = math.sqrt(n)
     mu_n = root * xi + mu / (root * rho_xi)
     nu_n = root * xi + nu / (root * rho_xi)
-    job = ContourJob(
-        params=EgfParams(alpha, bstar, mu_n, nu_n),
-        n=n,
-        radius=bulk_radius(n),
-        points=bulk_points(n),
-    )
-    value, diag = extract_f(job)
-    if diag.condition > CONDITION_LIMIT:
-        raise CancellationError(
-            f"bulk extraction condition {diag.condition:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e} at n = {n}",
-            at=diag,
-        )
-    lognorm = bulk_lognorm(alpha, n, xi, mu, nu)
-    scaled = 0.0 if value.sign == 0 else value.sign * math.exp(value.log_mag - lognorm)
-    return scaled, value, diag
+    params = EgfParams(alpha, bstar, mu_n, nu_n)
+    value, _, error = _recurrence_value(params, n, params)
+    scaled = value.sign * math.exp(value.log_mag - bulk_lognorm(alpha, n, xi, mu, nu))
+    return scaled, value, SaddleData(error / ((n + 1) * _RECURRENCE_UNIT))
 
 
 def _extract_at(alpha: float, bstar: float, mu: float, nu: float, n: int) -> ScaledReal:

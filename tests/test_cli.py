@@ -75,6 +75,15 @@ def test_edge_diagnostics(capsys):
     assert "elapsed_seconds" not in diag
 
 
+def test_bulk_diagnostics_name_the_recurrence_route(capsys):
+    code, out, _ = run(
+        capsys,
+        ["bulk", "--n-list", "8,16", "--format", "json", "--deterministic"],
+    )
+    assert code == 0
+    assert json.loads(out)["diagnostics"] == {"route": "recurrence"}
+
+
 def test_elapsed_seconds_present_by_default(capsys):
     code, out, _ = run(capsys, ["kernel", "--format", "json"])
     assert code == 0
@@ -206,6 +215,21 @@ def test_bulk_flagged_rows(monkeypatch, capsys):
         assert row["sign"] == 0
         assert row["scaled"] == 0.0
         assert row["condition"] == 5e12
+
+
+def test_bulk_row_refused_by_the_recurrence_reads_the_condition_limit(monkeypatch, capsys):
+    from wigcorr import egf_engine
+
+    monkeypatch.setattr(egf_engine, "_recurrence_f", lambda params, n: (1, 0.0, 2e-15))
+    code, out, err = run(
+        capsys,
+        ["bulk", "--n-list", "8", "--format", "json", "--deterministic"],
+    )
+    assert code == 2
+    assert "recurrence error estimate" in err
+    row, = json.loads(out)["rows"]
+    assert row["sign"] == 0
+    assert row["condition"] == egf_engine.CONDITION_LIMIT == 1e12
 
 
 @pytest.mark.parametrize("command, target, extra", [

@@ -16,7 +16,6 @@ from wigcorr.egf_engine import (
     MP_CONDITION_AT,
     ContourJob,
     EgfParams,
-    SaddleData,
     bulk_scaled_full,
     default_points,
     default_radius,
@@ -363,25 +362,58 @@ def test_bulk_bounds():
 
 
 def test_bulk_condition_stays_modest_in_domain():
-    # the chosen contour keeps cancellation ~2e3 even at the worst
-    # validated corner, far under the refusal threshold
+    # the condition is the recurrence's last-step cancellation, about 3
+    # at this worst validated corner, where a contour average cancelled
+    # by about 2e3
     _, _, diag = bulk_scaled_full(1.0, 0.0, 0.0, 0.0, 0.5, 512)
     assert diag.condition < 1e4
 
 
-def test_bulk_refuses_hopeless_cancellation(monkeypatch):
-    # the refusal path is defensive depth: no validated input reaches it,
-    # so feed it an inflated diagnostic directly
+def test_bulk_refuses_a_recurrence_error_estimate_above_tolerance(monkeypatch):
     from wigcorr import egf_engine
 
-    def fake_extract(job):
-        return ONE, SaddleData(1e13)
-
-    monkeypatch.setattr(egf_engine, "extract_f", fake_extract)
-    with pytest.raises(CancellationError) as info:
+    monkeypatch.setattr(egf_engine, "_recurrence_f", lambda params, n: (1, 0.0, 2e-15))
+    with pytest.raises(CancellationError, match="recurrence error estimate"):
         bulk_scaled_full(1.0, 0.0, 0.0, 0.0, 0.5, 64)
-    assert isinstance(info.value.at, SaddleData)
-    assert info.value.at.condition == 1e13
+
+
+@pytest.mark.parametrize("alpha, xi, n", [(1.0, 0.25, 128), (2.0, 1.0, 256)])
+def test_bulk_value_matches_a_40_digit_contour_without_one_of_its_own(alpha, xi, n,
+                                                                      monkeypatch):
+    # Reference: the trapezoid rule with 16n points on |z| = 1 - 3/n in
+    # 40-digit mpmath, within 3e-21 relative of the same with 24n points. For
+    # alpha in {1, 2}, (1-z)^(-alpha-1/2) (1+z)^(-1/2) = (1-z)^(-alpha) /
+    # sqrt(1-z^2), the principal root since Re(1-z^2) > 0; z^(-n) is
+    # r^(-n) times one of 16 phases. Conjugate nodes give conjugate terms.
+    # Tolerance: the 3e-12 bound on accepted recurrence values.
+    mp = pytest.importorskip("mpmath")
+    from wigcorr import egf_engine
+
+    def no_contour(job):
+        raise AssertionError("bulk value extracted on a contour")
+
+    monkeypatch.setattr(egf_engine, "extract_f", no_contour)
+    mu, nu = 0.25, -0.25
+    _, value, _ = bulk_scaled_full(alpha, 0.0, xi, mu, nu, n)
+    root = math.sqrt(n)
+    with mp.workdps(40):
+        a = mp.mpf(root * xi + mu / (root * rho(xi)))
+        b = mp.mpf(root * xi + nu / (root * rho(xi)))
+        points, radius = 16 * n, 1 - mp.mpf(3) / n
+        phases = [mp.expjpi(mp.mpf(-k) / 8) for k in range(16)]
+
+        def term(k):
+            z = radius * mp.expjpi(mp.mpf(2 * k) / points)
+            w = 1 - z * z
+            return (mp.exp((a * b * z - (a * a + b * b) / 2 * z * z) / w)
+                    / ((1 - z) ** int(alpha) * mp.sqrt(w)) * phases[k % 16]).real
+
+        total = (term(0) + term(points // 2)
+                 + 2 * mp.fsum(term(k) for k in range(1, points // 2)))
+        c_n = total / points / radius ** n
+        assert value.sign == (1 if c_n > 0 else -1)
+        want = float(mp.log(abs(c_n)) + mp.loggamma(n + 1))
+    assert abs(value.log_mag - want) <= 3e-12
 
 
 def test_sigma_alpha_degenerate_point():
