@@ -27,10 +27,8 @@ import numpy as np
 
 from . import __version__
 from .egf_engine import (
-    CONDITION_LIMIT,
     ContourJob,
     EgfParams,
-    SaddleData,
     bulk_scaled_full,
     default_points,
     default_radius,
@@ -88,6 +86,9 @@ _ENSEMBLES = {
 # CLI spellings of the entry laws; the sampling module writes "two_point".
 _DISTS = ("gaussian", "rademacher", "uniform", "two-point")
 
+# The condition column of a refused row.
+_REFUSED_CONDITION = 1e12
+
 
 @dataclass
 class Row:
@@ -135,16 +136,15 @@ def _table(command: str, params: Dict[str, object], sizes: Sequence[int],
            limit: float, compute, diagnostics: Dict[str, object]) -> RunReport:
     """One row per size from compute(n). A row refused with a
     NumericalConsistencyError stays, flagged: sign 0, value 0, the table's
-    limit and the refusal's condition; the reason goes to stderr, exit 2."""
+    limit and condition _REFUSED_CONDITION; the reason goes to stderr,
+    exit 2."""
     rows: List[Row] = []
     flagged: List[int] = []
     for n in sizes:
         try:
             rows.append(compute(n))
         except NumericalConsistencyError as exc:
-            condition = (exc.at.condition if isinstance(exc.at, SaddleData)
-                         else CONDITION_LIMIT)
-            rows.append(_row(n, scaled_from_real(0.0), 0.0, limit, condition))
+            rows.append(_row(n, scaled_from_real(0.0), 0.0, limit, _REFUSED_CONDITION))
             flagged.append(int(n))
             print(f"wigcorr: row N = {n} refused: {exc}", file=sys.stderr)
     if flagged:

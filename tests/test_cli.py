@@ -214,7 +214,7 @@ def test_bulk_flagged_rows(monkeypatch, capsys):
     for row in payload["rows"]:
         assert row["sign"] == 0
         assert row["scaled"] == 0.0
-        assert row["condition"] == 5e12
+        assert row["condition"] == cli._REFUSED_CONDITION == 1e12
 
 
 def test_bulk_row_refused_by_the_recurrence_reads_the_condition_limit(monkeypatch, capsys):
@@ -229,7 +229,7 @@ def test_bulk_row_refused_by_the_recurrence_reads_the_condition_limit(monkeypatc
     assert "recurrence error estimate" in err
     row, = json.loads(out)["rows"]
     assert row["sign"] == 0
-    assert row["condition"] == egf_engine.CONDITION_LIMIT == 1e12
+    assert row["condition"] == cli._REFUSED_CONDITION == 1e12
 
 
 @pytest.mark.parametrize("command, target, extra", [
@@ -255,7 +255,7 @@ def test_row_refusal_flags_the_row(monkeypatch, capsys, command, target, extra):
     for row in payload["rows"]:
         assert row["sign"] == 0
         assert row["scaled"] == 0.0
-        assert row["condition"] == 5e12
+        assert row["condition"] == cli._REFUSED_CONDITION == 1e12
 
 
 def test_edge_keeps_rows_after_a_refused_one(capsys):

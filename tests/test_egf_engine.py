@@ -14,6 +14,7 @@ from wigcorr.egf_engine import (
     BULK_MAX_N,
     EDGE_MAX_N,
     MP_CONDITION_AT,
+    MP_MAX_N,
     ContourJob,
     EgfParams,
     bulk_scaled_full,
@@ -29,6 +30,7 @@ from wigcorr.egf_engine import (
     _circle_logs,
     _disc_logs,
     _log_egf,
+    _recurrence_value,
 )
 from wigcorr.exact_oracle import (
     EnsembleKind,
@@ -55,6 +57,11 @@ def test_job_validation():
         ContourJob(p, 3, 1.0, 2048)
     with pytest.raises(DomainError):
         ContourJob(p, 3, 0.5, 32)
+    # every admitted order has the recurrence behind its contour
+    assert MP_MAX_N == EDGE_MAX_N
+    assert ContourJob(p, MP_MAX_N, 0.99, 2048).n == MP_MAX_N
+    with pytest.raises(DomainError, match="coefficient order"):
+        ContourJob(p, MP_MAX_N + 1, 0.99, 2048)
 
 
 def test_default_contour_parameters():
@@ -91,7 +98,8 @@ def _extraction_bits(job):
 
 def test_circle_log_cache_cannot_change_a_value():
     # 10 circles, more than the cache holds, each shared by several
-    # moments and offsets; some jobs take the recurrence and some raise.
+    # moments and offsets; some jobs take the recurrence (the n = 64000
+    # ones off the default circle at about 0.15 s each).
     jobs = [
         ContourJob.with_defaults(EgfParams(alpha, bstar, mu, nu), n, radius=radius)
         for n in (3, 20, 1000, 64000)
@@ -176,6 +184,33 @@ def test_ill_conditioned_contour_reruns_exactly():
     assert db.condition > MP_CONDITION_AT
     assert a.sign == b.sign
     assert a.log_mag == pytest.approx(b.log_mag, abs=1e-12)
+
+
+def _edge_job(alpha, bstar, mu, nu, n, radius=None):
+    return ContourJob.with_defaults(
+        EgfParams(alpha, bstar, *edge_points(n, mu, nu)), n, radius=radius)
+
+
+@pytest.mark.parametrize("alpha, n", [(2.0, 20000), (1.0, 8192)])
+def test_cancelling_edge_contour_above_4096_takes_the_recurrence(alpha, n):
+    # offsets (4, 6) cancel by 3.5e7 at alpha 2, where the contour value
+    # returned as it stood was off by 2.2e-6 in log, and by 5.5e6 at
+    # alpha 1, where the average keeps an imaginary residue of 4e-8 and
+    # was refused
+    job = _edge_job(alpha, 0.0, 4.0, 6.0, n)
+    value, diag = extract_f(job)
+    assert MP_CONDITION_AT < diag.condition < 1e8
+    assert value == _recurrence_value(job.params, job.n, job)[0]
+
+
+def test_off_default_circle_above_4096_agrees_with_the_default_circle():
+    # radius 0.7 at n = 64000 cancels past any double: its contour value
+    # was off by 209 in log, with no refusal
+    a, da = extract_f(_edge_job(2.0, 0.5, -1.0, 0.5, 64000))
+    b, db = extract_f(_edge_job(2.0, 0.5, -1.0, 0.5, 64000, radius=0.7))
+    assert da.condition < MP_CONDITION_AT < db.condition
+    assert a.sign == b.sign
+    assert a.log_mag == pytest.approx(b.log_mag, abs=1e-9)
 
 
 def test_exactly_zero_coefficient_refused():

@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package has a caller.
+"""Every public top-level function and class of the package has a caller,
+and every name a module imports is read.
 
 A name counts as used when runtime code outside its own definition, a
 `bench/` file or README.md names it. Tests do not count: an export that
@@ -75,3 +76,26 @@ def test_allowlist_names_existing_definitions():
                for path in PACKAGE.glob("*.py")
                for node in _public_defs(ast.parse(path.read_text()))}
     assert set(ALLOWED) <= defined
+
+
+def unused_imports(package: Path = PACKAGE):
+    """`module.name` for each name a module imports and never reads. The
+    package __init__ imports only to re-export, so it is exempt."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported if name not in read]
+    return unused
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
