@@ -392,6 +392,17 @@ def _extract_at(alpha: float, bstar: float, mu: float, nu: float, n: int) -> Sca
     return value
 
 
+def _sigma_is_one(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
+                  n: int) -> bool:
+    """Refuse what EgfParams refuses and orders outside [1, EDGE_MAX_N]
+    (at n = 0 both polynomials are constant), then say whether the
+    coefficient is 1 by definition: whether mu_pt == nu_pt."""
+    EgfParams(alpha, bstar, mu_pt, nu_pt)
+    if not (1 <= n <= EDGE_MAX_N):
+        raise DomainError(f"correlation order n = {n} outside [1, {EDGE_MAX_N}]")
+    return mu_pt == nu_pt
+
+
 def sigma_alpha(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
                 n: int) -> float:
     """Correlation coefficient of the two characteristic-polynomial values,
@@ -399,7 +410,7 @@ def sigma_alpha(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
     Evaluation points are raw arguments; callers studying edge behaviour
     pass edge-scaled points themselves.
     """
-    if mu_pt == nu_pt:
+    if _sigma_is_one(alpha, bstar, mu_pt, nu_pt, n):
         return 1.0
     f_cross = _extract_at(alpha, bstar, mu_pt, nu_pt, n)
     return sigma_from_cross(f_cross, alpha, bstar, mu_pt, nu_pt, n)
@@ -408,8 +419,7 @@ def sigma_alpha(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
 def sigma_from_cross(f_cross: ScaledReal, alpha: float, bstar: float,
                      mu_pt: float, nu_pt: float, n: int) -> float:
     """sigma_alpha for a caller that already holds f_cross = f_n(mu_pt, nu_pt)."""
-    if mu_pt == nu_pt:
-        # Definitionally the numerator equals either variance factor.
+    if _sigma_is_one(alpha, bstar, mu_pt, nu_pt, n):
         return 1.0
     f_mumu = _extract_at(alpha, bstar, mu_pt, mu_pt, n)
     f_nunu = _extract_at(alpha, bstar, nu_pt, nu_pt, n)

@@ -27,6 +27,7 @@ from wigcorr.egf_engine import (
     extract_f,
     rho,
     sigma_alpha,
+    sigma_from_cross,
     _circle_logs,
     _disc_logs,
     _log_egf,
@@ -453,6 +454,23 @@ def test_bulk_value_matches_a_40_digit_contour_without_one_of_its_own(alpha, xi,
 
 def test_sigma_alpha_degenerate_point():
     assert sigma_alpha(1.0, 0.0, 1.3, 1.3, 16) == 1.0
+
+
+@pytest.mark.parametrize("args", [
+    (-1.0, 0.0, 1.3, 1.3, 16),
+    (1.0, math.nan, 1.3, 1.3, 16),
+    (1.0, 0.0, math.inf, math.inf, 16),
+    (1.0, 0.0, -math.inf, -math.inf, 16),
+    (1.0, 0.0, 1.3, 1.3, 0),
+    (1.0, 0.0, 1.3, 1.3, 10 ** 7),
+], ids=["alpha", "bstar", "plus-inf", "minus-inf", "n-zero", "n-high"])
+def test_sigma_refuses_bad_arguments_even_at_equal_points(args):
+    # the mu == nu shortcut must not answer 1.0 for arguments that every
+    # other point refuses
+    with pytest.raises(DomainError):
+        sigma_alpha(*args)
+    with pytest.raises(DomainError):
+        sigma_from_cross(ONE, *args)
 
 
 def test_sigma_alpha_edge_regression():

@@ -1,5 +1,6 @@
 """Every public top-level function and class of the package has a caller,
-and every name a module imports is read.
+every name a module imports is read, and every module-level constant is
+read.
 
 A name counts as used when runtime code outside its own definition, a
 `bench/` file or README.md names it. Tests do not count: an export that
@@ -99,3 +100,49 @@ def unused_imports(package: Path = PACKAGE):
 
 def test_every_import_is_read():
     assert unused_imports() == []
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(package: Path = PACKAGE, bench: Path = ROOT / "bench",
+                     readme: Path = ROOT / "README.md"):
+    """`module.NAME` for each upper-case name a package module assigns at
+    top level and no package or `bench/` file reads (a load of the bare
+    name or an attribute of that name) and README.md does not name. A
+    leftover of deleted code shows up here."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    readme_text = readme.read_text()
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for node in trees[path].body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                name = getattr(target, "id", "")
+                if (CONSTANT.fullmatch(name) and name not in read
+                        and not re.search(rf"\b{name}\b", readme_text)):
+                    unread.append(f"{path.stem}.{name}")
+    return unread
+
+
+def test_every_constant_is_read():
+    assert unread_constants() == []
+
+
+def test_an_unread_constant_is_caught(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "USED = 1\n_LEFTOVER = 64\nlower = 2\n\n\ndef f():\n    return USED\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("")
+    assert unread_constants(package, tmp_path / "no-bench", readme) == ["mod._LEFTOVER"]
