@@ -23,7 +23,8 @@ import decimal
 import functools
 import math
 import mmap
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional
 
@@ -114,32 +115,29 @@ def default_points(n: int) -> int:
 @dataclass(frozen=True)
 class ContourJob:
     """One coefficient extraction: which generating function, which
-    coefficient order, and the circle it is integrated on."""
+    coefficient order, and the circle it is integrated on. The circle's
+    point count follows from the order: `default_points(n)`."""
 
     params: EgfParams
     n: int
     radius: float
-    points: int
+    points: int = field(init=False)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise DomainError(f"coefficient order {self.n!r} is not an integer")
         if not (0 <= self.n <= MP_MAX_N):
             raise DomainError(f"coefficient order {self.n} outside [0, {MP_MAX_N}]")
         if not (0.0 < self.radius < 1.0):
             raise DomainError(f"radius {self.radius} outside (0, 1)")
         if self.radius > MAX_ABS_Z:
             raise DomainError(f"radius {self.radius} above {MAX_ABS_Z}")
-        if self.points < 64:
-            raise DomainError(f"need at least 64 contour points, got {self.points}")
+        object.__setattr__(self, "points", default_points(self.n))
 
     @classmethod
     def with_defaults(cls, params: EgfParams, n: int,
                       radius: Optional[float] = None) -> "ContourJob":
-        return cls(
-            params=params,
-            n=n,
-            radius=default_radius(n) if radius is None else radius,
-            points=default_points(n),
-        )
+        return cls(params, n, default_radius(n) if radius is None else radius)
 
 
 @dataclass(frozen=True)
@@ -372,6 +370,8 @@ def bulk_scaled_full(alpha: float, bstar: float, xi: float, mu: float,
     """
     if alpha not in (1.0, 2.0):
         raise DomainError(f"bulk mode supports alpha 1 or 2, got {alpha}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"bulk order n = {n!r} is not an integer")
     if not (1 <= n <= BULK_MAX_N):
         raise DomainError(f"bulk order n = {n} outside [1, {BULK_MAX_N}]")
     if abs(xi) > BULK_MAX_XI:

@@ -45,20 +45,17 @@ class EnsembleKind(str, Enum):
 
 @dataclass(frozen=True)
 class MomentProfile:
-    """First four moments (m1..m4) of the entry distribution.
+    """Moments m2..m4 of the centred entry distribution (m1 = 0).
 
     The entry law enters every expectation here only through these
     numbers, which is exactly the universality being tested.
     """
 
-    m1: float
     m2: float
     m3: float
     m4: float
 
     def __post_init__(self):
-        if self.m1 != 0.0:
-            raise DomainError(f"m1 must be 0, got {self.m1}")
         if not (self.m2 > 0.0):
             raise DomainError(f"m2 must be positive, got {self.m2}")
         if self.m4 < self.m2 ** 2 - 1e-12:
@@ -70,13 +67,13 @@ class MomentProfile:
 def gaussian_profile(kind: EnsembleKind) -> MomentProfile:
     """Moments of a centered Gaussian at the variance the ensemble fixes."""
     m2 = ensemble_variance(kind)
-    return MomentProfile(0.0, m2, 0.0, 3.0 * m2 * m2)
+    return MomentProfile(m2, 0.0, 3.0 * m2 * m2)
 
 
 def rademacher_profile(kind: EnsembleKind) -> MomentProfile:
     """Moments of a symmetric two-point law at the ensemble variance."""
     m2 = ensemble_variance(kind)
-    return MomentProfile(0.0, m2, 0.0, m2 * m2)
+    return MomentProfile(m2, 0.0, m2 * m2)
 
 
 def _check_profile(kind: EnsembleKind, moments: MomentProfile) -> None:

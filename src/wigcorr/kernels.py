@@ -154,7 +154,7 @@ def _line_value(alpha: float, mu: float, nu: float, quad: QuadratureSpec,
     q = 0.25 * (mu - nu) ** 2
     w, cubic = _line_nodes(quad)
     power = _line_power(quad, alpha)
-    val = trapezoid_line(lambda u: np.exp(cubic - s * w - q / w) / power, quad)
+    val = trapezoid_line(np.exp(cubic - s * w - q / w) / power, quad)
     val /= 4.0 * math.pi ** 1.5
     if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
         raise NumericalConsistencyError(

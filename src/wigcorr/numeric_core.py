@@ -143,22 +143,13 @@ class QuadratureSpec:
         )
 
 
-def trapezoid_line(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> complex:
-    """Trapezoid approximation of the integral of f over [-U, U].
-
-    f receives the full node array and must return an array of samples of
-    the same length. Every sample must be finite.
-    """
-    u = spec.nodes()
-    vals = np.asarray(f(u))
-    if vals.shape != u.shape:
-        raise DomainError(
-            f"integrand returned shape {vals.shape}, expected {u.shape}"
-        )
+def trapezoid_line(vals: np.ndarray, spec: QuadratureSpec) -> complex:
+    """Trapezoid approximation of an integral over [-U, U] from its
+    samples on the nodes of the rule. Every sample must be finite."""
     finite = np.isfinite(vals.real) & np.isfinite(vals.imag) if np.iscomplexobj(vals) \
         else np.isfinite(vals)
     if not finite.all():
-        bad = u[~finite][0]
+        bad = spec.nodes()[~finite][0]
         raise NumericalConsistencyError(
             f"non-finite integrand sample at u = {bad!r}", at=float(bad)
         )

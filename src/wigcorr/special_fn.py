@@ -6,6 +6,10 @@ The Airy pair is served by two independent routes: a library route
 (scipy's AMOS-backed implementation) used for production values, and a
 vertical-line contour quadrature kept as a cross-check oracle. The two
 routes are compared in the self-test suite.
+
+One Hermite recurrence, `_hermite_advance`, serves both Hermite jobs:
+`hermite_phys` (and through it `char_poly_mean`) runs it once over all
+orders, and `gue_kernel` collects every order from it one step at a time.
 """
 
 from __future__ import annotations
@@ -84,37 +88,41 @@ def airy_contour(x: float) -> AiryPair:
     # times it.
     z = c + 1j * DEFAULT_AIRY_QUAD.nodes()
     e = np.exp(z ** 3 / 3.0 - x * z)
-    ai = trapezoid_line(lambda t: e, DEFAULT_AIRY_QUAD).real / (2.0 * math.pi)
-    aip = trapezoid_line(lambda t: -z * e, DEFAULT_AIRY_QUAD).real / (2.0 * math.pi)
+    ai = trapezoid_line(e, DEFAULT_AIRY_QUAD).real / (2.0 * math.pi)
+    aip = trapezoid_line(-z * e, DEFAULT_AIRY_QUAD).real / (2.0 * math.pi)
     return AiryPair(ai, aip)
 
 
-def _hermite_seq(n: int, x: float):
-    """Signs and natural-log magnitudes of H_k(x) for k = 0..n.
-
-    Upward three-term recurrence with renormalization: whenever the
-    running pair exceeds the threshold both members are divided down and
-    the factor accumulates in a log-space scale.
-    """
-    signs = np.zeros(n + 1)
-    logs = np.full(n + 1, -np.inf)
-    signs[0], logs[0] = 1.0, 0.0
-    h_prev, h_cur = 1.0, 2.0 * x
-    scale = 0.0
-    if n >= 1 and h_cur != 0.0:
-        signs[1] = math.copysign(1.0, h_cur)
-        logs[1] = math.log(abs(h_cur))
-    for k in range(1, n):
-        h_next = 2.0 * x * h_cur - 2.0 * k * h_prev
-        h_prev, h_cur = h_cur, h_next
-        m = max(abs(h_prev), abs(h_cur))
+def _hermite_advance(tx: float, k: int, stop: int, h_prev: float,
+                     h_cur: float, scale: float):
+    """Step (H_{k-1}(x), H_k(x)) to (H_{stop-1}(x), H_stop(x)), tx = 2x,
+    both carried divided by exp(scale). A new H_j past _RENORM_AT divides
+    the pair by |H_j|; the older member never passes it, since a
+    renormalized pair has largest modulus 1."""
+    for j in range(k, stop):
+        h_prev, h_cur = h_cur, tx * h_cur - 2.0 * j * h_prev
+        m = abs(h_cur)
         if m > _RENORM_AT:
             h_prev /= m
             h_cur /= m
             scale += math.log(m)
+    return h_prev, h_cur, scale
+
+
+def _hermite_seq(n: int, x: float):
+    """Signs and natural-log magnitudes of H_k(x) for k = 0..n, collected
+    from `_hermite_advance` one order at a time."""
+    signs = np.zeros(n + 1)
+    logs = np.full(n + 1, -np.inf)
+    signs[0], logs[0] = 1.0, 0.0
+    tx = 2.0 * x
+    h_prev, h_cur, scale = 1.0, tx, 0.0
+    for k in range(1, n + 1):
+        if k > 1:
+            h_prev, h_cur, scale = _hermite_advance(tx, k - 1, k, h_prev, h_cur, scale)
         if h_cur != 0.0:
-            signs[k + 1] = math.copysign(1.0, h_cur)
-            logs[k + 1] = math.log(abs(h_cur)) + scale
+            signs[k] = math.copysign(1.0, h_cur)
+            logs[k] = math.log(abs(h_cur)) + scale
     return signs, logs
 
 
@@ -126,19 +134,8 @@ def hermite_phys(n: int, x: float) -> ScaledReal:
         raise DomainError(f"hermite_phys argument must be finite, got {x!r}")
     if n == 0:
         return ONE
-    # The recurrence of _hermite_seq, keeping only the running pair. After
-    # a renormalization the pair's largest modulus is 1, so only h_cur can
-    # pass the threshold and dividing by it matches the max rule there.
     tx = 2.0 * x
-    h_prev, h_cur = 1.0, tx
-    scale = 0.0
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, tx * h_cur - 2.0 * k * h_prev
-        m = abs(h_cur)
-        if m > _RENORM_AT:
-            h_prev /= m
-            h_cur /= m
-            scale += math.log(m)
+    _, h_cur, scale = _hermite_advance(tx, 1, n, 1.0, tx, 0.0)
     if not math.isfinite(h_cur):
         raise DomainError(f"hermite_phys({n}, {x!r}) overflows double range")
     if h_cur == 0.0:
@@ -188,6 +185,8 @@ def gue_kernel(n: int, x: float, y: float) -> ScaledReal:
     """
     if n < 1 or n > GUE_KERNEL_MAX_N:
         raise DomainError(f"gue_kernel order {n} outside [1, {GUE_KERNEL_MAX_N}]")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"gue_kernel arguments ({x!r}, {y!r}) must be finite")
     rt2 = math.sqrt(2.0)
     sx, lx = _hermite_seq(n - 1, x / rt2)
     sy, ly = _hermite_seq(n - 1, y / rt2)

@@ -124,18 +124,18 @@ class EntryDist:
 
 
 def moments_of(dist: EntryDist) -> MomentProfile:
-    """Exact first four moments realized by an EntryDist."""
+    """Exact moments m2..m4 realized by an EntryDist."""
     tv = dist.target_variance
     if dist.kind == "gaussian":
-        return MomentProfile(0.0, tv, 0.0, 3.0 * tv * tv)
+        return MomentProfile(tv, 0.0, 3.0 * tv * tv)
     if dist.kind == "rademacher":
-        return MomentProfile(0.0, tv, 0.0, tv * tv)
+        return MomentProfile(tv, 0.0, tv * tv)
     if dist.kind == "uniform":
-        return MomentProfile(0.0, tv, 0.0, 9.0 * tv * tv / 5.0)
+        return MomentProfile(tv, 0.0, 9.0 * tv * tv / 5.0)
     p = dist.two_point_p
     m3 = tv ** 1.5 * (1.0 - 2.0 * p) / math.sqrt(p * (1.0 - p))
     m4 = tv * tv * (1.0 - 3.0 * p + 3.0 * p * p) / (p * (1.0 - p))
-    return MomentProfile(0.0, tv, m3, m4)
+    return MomentProfile(tv, m3, m4)
 
 
 def dist_for(kind: str, ensemble: EnsembleKind, two_point_p: float = 0.5) -> EntryDist:

@@ -29,10 +29,6 @@ EDGE_TREND_POINTS = ((0.0, 0.0), (0.0, 1.0), (-1.0, 1.0))
 EDGE_TREND_SIZES = (125, 1000, 8000)
 
 
-def report(name: str, ok: bool, detail: str) -> None:
-    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-
-
 def gate(name: str, check) -> None:
     """Run check(), print its margins on one line, assert every bound."""
     start = time.perf_counter()
@@ -59,20 +55,16 @@ def test_03_hermitian_kernel_link():
 
 
 def test_04_airy_product_identity():
-    budget, tol = 2.0, 1e-9
-    start = time.perf_counter()
-    worst = 0.0
-    for x in np.linspace(-5.0, 5.0, 11):
-        for y in np.linspace(-5.0, 5.0, 11):
-            got = airy_product(float(x), float(y))
-            want = airy(float(x)).ai * airy(float(y)).ai
-            worst = max(worst, abs(got - want))
-    elapsed = time.perf_counter() - start
-    ok = worst <= tol and elapsed <= budget
-    report("airy-product-identity", ok,
-           f"worst abs {worst:.3e} (tol {tol:.0e}), {elapsed:.1f}s of {budget:.0f}s")
-    assert worst <= tol
-    assert elapsed <= budget
+    def check():
+        start = time.perf_counter()
+        worst = 0.0
+        for x in np.linspace(-5.0, 5.0, 11):
+            for y in np.linspace(-5.0, 5.0, 11):
+                got = airy_product(float(x), float(y))
+                want = airy(float(x)).ai * airy(float(y)).ai
+                worst = max(worst, abs(got - want))
+        return [Margin("worst abs", worst, 1e-9, time.perf_counter() - start, 2.0)]
+    gate("airy-product-identity", check)
 
 
 def test_05_operator_chain():
@@ -117,28 +109,22 @@ def test_09_bstar_prefactor_ratio():
     # ladder, and one Richardson step in h = N^(-1/3) (h halves) must put
     # the limit within 2% of e. A dropped bstar term gives a limit of 1, a
     # doubled one about e^2.
-    tol = 0.02
-    exact_tol = 1e-9
-    shifted = edge_scaled_f(1.0, 1.0, 0.0, 0.0, 8000)
-    plain = edge_scaled_f(1.0, 0.0, 0.0, 0.0, 8000)
-    ratio = shifted / plain
-    ratio_8x = (edge_scaled_f(1.0, 1.0, 0.0, 0.0, 64000)
-                / edge_scaled_f(1.0, 0.0, 0.0, 0.0, 64000))
-    exact_dev = max(abs(ratio / BSTAR_EXACT_RATIO[8000] - 1.0),
-                    abs(ratio_8x / BSTAR_EXACT_RATIO[64000] - 1.0))
-    raw = abs(ratio / math.e - 1.0)
-    raw_8x = abs(ratio_8x / math.e - 1.0)
-    limit = math.exp(2.0 * math.log(ratio_8x) - math.log(ratio))
-    rel = abs(limit / math.e - 1.0)
-    ok = exact_dev <= exact_tol and raw_8x < raw and rel <= tol
-    report("bstar-prefactor-ratio", ok,
-           f"ratio {ratio:.4f} (N 8000), {ratio_8x:.4f} (N 64000), "
-           f"exact dev {exact_dev:.1e} (tol {exact_tol:.0e}); "
-           f"rel dev vs e {raw:.3f} -> {raw_8x:.3f}; "
-           f"extrapolated {limit:.4f}, rel dev {rel:.3f} (tol {tol:.2f})")
-    assert exact_dev <= exact_tol
-    assert raw_8x < raw
-    assert rel <= tol
+    def check():
+        start = time.perf_counter()
+        ratio = (edge_scaled_f(1.0, 1.0, 0.0, 0.0, 8000)
+                 / edge_scaled_f(1.0, 0.0, 0.0, 0.0, 8000))
+        ratio_8x = (edge_scaled_f(1.0, 1.0, 0.0, 0.0, 64000)
+                    / edge_scaled_f(1.0, 0.0, 0.0, 0.0, 64000))
+        exact_dev = max(abs(ratio / BSTAR_EXACT_RATIO[8000] - 1.0),
+                        abs(ratio_8x / BSTAR_EXACT_RATIO[64000] - 1.0))
+        raw = abs(ratio / math.e - 1.0)
+        raw_8x = abs(ratio_8x / math.e - 1.0)
+        limit = math.exp(2.0 * math.log(ratio_8x) - math.log(ratio))
+        elapsed = time.perf_counter() - start
+        return [Margin("exact ratio dev", exact_dev, 1e-9, elapsed),
+                Margin("rel dev vs e at N 64000 vs 8000", raw_8x, raw, elapsed, op="<"),
+                Margin("extrapolated rel dev vs e", abs(limit / math.e - 1.0), 0.02, elapsed)]
+    gate("bstar-prefactor-ratio", check)
 
 
 def test_10_correlation_trend():
@@ -177,20 +163,13 @@ def test_13_radius_independence():
 
 
 def test_14_selftest_budget():
-    full_budget, fast_budget = 300.0, 30.0
-    lines = []
-    start = time.perf_counter()
-    full_code = selftest.run(fast=False, emit=lines.append)
-    full_elapsed = time.perf_counter() - start
-    start = time.perf_counter()
-    fast_code = selftest.run(fast=True, emit=lines.append)
-    fast_elapsed = time.perf_counter() - start
-    ok = (full_code == 0 and fast_code == 0
-          and full_elapsed <= full_budget and fast_elapsed <= fast_budget)
-    report("selftest-budget", ok,
-           f"full {full_elapsed:.1f}s of {full_budget:.0f}s (exit {full_code}), "
-           f"fast {fast_elapsed:.1f}s of {fast_budget:.0f}s (exit {fast_code})")
-    assert full_code == 0
-    assert fast_code == 0
-    assert full_elapsed <= full_budget
-    assert fast_elapsed <= fast_budget
+    def check():
+        lines = []
+        margins = []
+        for fast, budget in ((False, 300.0), (True, 30.0)):
+            start = time.perf_counter()
+            code = selftest.run(fast=fast, emit=lines.append)
+            margins.append(Margin("fast exit" if fast else "full exit", code, (0, 0),
+                                  time.perf_counter() - start, budget, op="in"))
+        return margins
+    gate("selftest-budget", check)

@@ -53,16 +53,34 @@ def test_params_validation():
 def test_job_validation():
     p = EgfParams(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
-        ContourJob(p, -1, 0.5, 2048)
+        ContourJob(p, -1, 0.5)
     with pytest.raises(DomainError):
-        ContourJob(p, 3, 1.0, 2048)
-    with pytest.raises(DomainError):
-        ContourJob(p, 3, 0.5, 32)
+        ContourJob(p, 3, 1.0)
     # every admitted order has the recurrence behind its contour
     assert MP_MAX_N == EDGE_MAX_N
-    assert ContourJob(p, MP_MAX_N, 0.99, 2048).n == MP_MAX_N
+    job = ContourJob(p, MP_MAX_N, 0.99)
+    assert (job.n, job.points) == (MP_MAX_N, default_points(MP_MAX_N))
     with pytest.raises(DomainError, match="coefficient order"):
-        ContourJob(p, MP_MAX_N + 1, 0.99, 2048)
+        ContourJob(p, MP_MAX_N + 1, 0.99)
+
+
+def test_orders_must_be_integers():
+    # a float or bool order used to run as if it were an integer, or to
+    # fail with a TypeError deep in the recurrence
+    with pytest.raises(DomainError, match="not an integer"):
+        edge_scaled_f(1.0, 0.0, 0.0, 1.0, 2.5)
+    with pytest.raises(DomainError, match="not an integer"):
+        ContourJob.with_defaults(EgfParams(1.0, 0.0, 0.3, -0.7), 2.5)
+    with pytest.raises(DomainError, match="not an integer"):
+        edge_scaled_full(1.0, 0.0, 0.0, 1.0, True)
+    for bad in (64.5, True):
+        with pytest.raises(DomainError, match="not an integer"):
+            bulk_scaled_full(1.0, 0.0, 0.0, 0.25, -0.25, bad)
+    # numpy integers are integers
+    assert (edge_scaled_full(1.0, 0.0, 0.0, 1.0, np.int64(64))
+            == edge_scaled_full(1.0, 0.0, 0.0, 1.0, 64))
+    assert (bulk_scaled_full(1.0, 0.0, 0.0, 0.25, -0.25, np.int64(64))
+            == bulk_scaled_full(1.0, 0.0, 0.0, 0.25, -0.25, 64))
 
 
 def test_default_contour_parameters():

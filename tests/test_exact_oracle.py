@@ -27,18 +27,16 @@ SYM = EnsembleKind.REAL_SYMMETRIC
 
 def test_profile_validation():
     with pytest.raises(DomainError):
-        MomentProfile(0.1, 0.5, 0.0, 0.75)
+        MomentProfile(-1.0, 0.0, 3.0)
     with pytest.raises(DomainError):
-        MomentProfile(0.0, -1.0, 0.0, 3.0)
-    with pytest.raises(DomainError):
-        MomentProfile(0.0, 1.0, 0.0, 0.5)  # m4 below m2^2
+        MomentProfile(1.0, 0.0, 0.5)  # m4 below m2^2
 
 
 def test_builtin_profiles():
-    assert gaussian_profile(HERM) == MomentProfile(0.0, 0.5, 0.0, 0.75)
-    assert gaussian_profile(SYM) == MomentProfile(0.0, 1.0, 0.0, 3.0)
-    assert rademacher_profile(HERM) == MomentProfile(0.0, 0.5, 0.0, 0.25)
-    assert rademacher_profile(SYM) == MomentProfile(0.0, 1.0, 0.0, 1.0)
+    assert gaussian_profile(HERM) == MomentProfile(0.5, 0.0, 0.75)
+    assert gaussian_profile(SYM) == MomentProfile(1.0, 0.0, 3.0)
+    assert rademacher_profile(HERM) == MomentProfile(0.5, 0.0, 0.25)
+    assert rademacher_profile(SYM) == MomentProfile(1.0, 0.0, 1.0)
 
 
 def test_bstar_values():
@@ -50,9 +48,9 @@ def test_bstar_values():
 
 def test_bstar_rejects_wrong_variance():
     with pytest.raises(DomainError):
-        bstar_for(HERM, MomentProfile(0.0, 1.0, 0.0, 3.0))
+        bstar_for(HERM, MomentProfile(1.0, 0.0, 3.0))
     with pytest.raises(DomainError):
-        bstar_for(SYM, MomentProfile(0.0, 0.5, 0.0, 0.75))
+        bstar_for(SYM, MomentProfile(0.5, 0.0, 0.75))
 
 
 def test_ensemble_alpha():
@@ -100,11 +98,11 @@ def test_oracle_f_third_moment_invariance():
     for n in (2, 3, 4):
         ref = oracle_f(SYM, base, n, 0.6, -0.9)
         for m3 in (-1.0, 0.5, 1.0):
-            skewed = MomentProfile(0.0, 1.0, m3, 3.0)
+            skewed = MomentProfile(1.0, m3, 3.0)
             assert oracle_f(SYM, skewed, n, 0.6, -0.9) == pytest.approx(
                 ref, rel=1e-13
             )
-    skewed_h = MomentProfile(0.0, 0.5, 0.4, 0.75)
+    skewed_h = MomentProfile(0.5, 0.4, 0.75)
     assert oracle_f(HERM, skewed_h, 3, 0.6, -0.9) == pytest.approx(
         oracle_f(HERM, gaussian_profile(HERM), 3, 0.6, -0.9), rel=1e-13
     )
@@ -157,7 +155,7 @@ def _bit_identity_profiles(kind):
             for law in ("gaussian", "rademacher", "uniform")]
     laws.append(moments_of(dist_for("two_point", kind, two_point_p=0.3)))
     m2 = 0.5 if kind == HERM else 1.0
-    laws.append(MomentProfile(0.0, m2, -0.45, 2.4 * m2 * m2))
+    laws.append(MomentProfile(m2, -0.45, 2.4 * m2 * m2))
     return laws
 
 

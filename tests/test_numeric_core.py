@@ -132,7 +132,8 @@ def test_quadrature_spec_validation():
 
 def test_trapezoid_gaussian():
     spec = QuadratureSpec(truncation_halfwidth=20.0, point_count=4000)
-    val = trapezoid_line(lambda u: np.exp(-u * u), spec)
+    u = spec.nodes()
+    val = trapezoid_line(np.exp(-u * u), spec)
     assert val.real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
     assert abs(val.imag) < 1e-15
 
@@ -140,27 +141,18 @@ def test_trapezoid_gaussian():
 def test_trapezoid_complex_shift():
     # integral of exp(-u^2 + iu) = sqrt(pi) exp(-1/4)
     spec = QuadratureSpec(truncation_halfwidth=20.0, point_count=4000)
-    val = trapezoid_line(lambda u: np.exp(-u * u + 1j * u), spec)
+    u = spec.nodes()
+    val = trapezoid_line(np.exp(-u * u + 1j * u), spec)
     assert val.real == pytest.approx(math.sqrt(math.pi) * math.exp(-0.25), rel=1e-13)
     assert abs(val.imag) < 1e-14
 
 
-def test_trapezoid_shape_mismatch():
-    spec = QuadratureSpec(truncation_halfwidth=1.0, point_count=100)
-    with pytest.raises(DomainError):
-        trapezoid_line(lambda u: np.ones(3), spec)
-
-
 def test_trapezoid_nonfinite_sample_located():
     spec = QuadratureSpec(truncation_halfwidth=1.0, point_count=101)
-
-    def poisoned(u):
-        vals = np.ones_like(u)
-        vals[u == 0.0] = np.nan
-        return vals
-
+    vals = np.ones(101)
+    vals[50] = np.nan
     with pytest.raises(NumericalConsistencyError) as info:
-        trapezoid_line(poisoned, spec)
+        trapezoid_line(vals, spec)
     assert info.value.at == pytest.approx(0.0)
 
 

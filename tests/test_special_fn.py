@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -94,8 +95,8 @@ def test_hermite_domain_guard():
     (40, -150.0),
 ])
 def test_hermite_phys_is_the_last_entry_of_the_sequence(n, x):
-    # hermite_phys keeps only the running pair of the recurrence that
-    # _hermite_seq stores in full; both must give the same bits
+    # hermite_phys runs the Hermite loop once over all orders and
+    # _hermite_seq one order at a time; both must give the same bits
     signs, logs = _hermite_seq(n, x)
     val = hermite_phys(n, x)
     if signs[n] == 0.0:
@@ -159,6 +160,17 @@ def test_gue_kernel_domain_guard():
         gue_kernel(0, 0.0, 0.0)
     with pytest.raises(DomainError):
         gue_kernel(2001, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("x, y", [(0.0, math.inf), (-math.inf, 0.5), (math.nan, 0.0),
+                                  (0.3, math.nan)])
+def test_gue_kernel_refuses_non_finite_arguments(x, y):
+    # an infinite argument used to warn from numpy and then fail in
+    # ScaledReal; it must be refused up front, naming the arguments
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"gue_kernel arguments \(.*\) must be finite"):
+            gue_kernel(3, x, y)
 
 
 def test_gue_kernel_christoffel_darboux_consistency():
