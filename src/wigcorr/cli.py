@@ -38,11 +38,7 @@ from .egf_engine import (
     sigma_alpha,
     sigma_from_cross,
 )
-from .errors import (
-    DegenerateDenominatorError,
-    DomainError,
-    NumericalConsistencyError,
-)
+from .errors import DomainError, NumericalConsistencyError
 from .exact_oracle import (
     ORACLE_F_MAX_N,
     EnsembleKind,
@@ -50,15 +46,7 @@ from .exact_oracle import (
     ensemble_alpha,
     oracle_f,
 )
-from .kernels import (
-    DEFAULT_LINE_QUAD,
-    airy_kernel,
-    airy_product,
-    b_kernel,
-    i_alpha,
-    sine_kernel,
-    t_kernel,
-)
+from .kernels import DEFAULT_LINE_QUAD, bulk_kernel, edge_correlation, edge_kernel, i_alpha
 from .numeric_core import (
     ScaledReal,
     scaled_div,
@@ -152,16 +140,6 @@ def _table(command: str, params: Dict[str, object], sizes: Sequence[int],
     return RunReport(command, params, rows, diagnostics, 2 if flagged else 0)
 
 
-def _edge_kernel(alpha: float, mu: float, nu: float):
-    """Edge limit kernel of order alpha and the route that gave it: the
-    closed form where one exists, else the defining line integral."""
-    if alpha == 1.0:
-        return airy_kernel(mu, nu), "airy-kernel"
-    if alpha == 2.0:
-        return b_kernel(mu, nu), "b-kernel"
-    return i_alpha(alpha, mu, nu), "line-quadrature"
-
-
 def _error_slope(ns: Sequence[int], errs: Sequence[float]) -> Optional[float]:
     """Least-squares slope of log error against log size."""
     if len(ns) < 2 or any(e <= 0.0 for e in errs):
@@ -185,16 +163,14 @@ def _resolve_n_list(args) -> List[int]:
     return sizes
 
 
-def _base_params(args, alpha: float, bstar: float,
+def _base_params(args, alpha: float, bstar: Optional[float],
                  sizes: Optional[List[int]] = None,
                  **extra) -> Dict[str, object]:
-    params: Dict[str, object] = {
-        "command": args.command,
-        "alpha": float(alpha),
-        "bstar": float(bstar),
-        "mu": float(args.mu),
-        "nu": float(args.nu),
-    }
+    """Report parameters; bstar None (kernel reads none) leaves it out."""
+    params: Dict[str, object] = {"command": args.command, "alpha": float(alpha)}
+    if bstar is not None:
+        params["bstar"] = float(bstar)
+    params.update(mu=float(args.mu), nu=float(args.nu))
     if sizes is not None:
         params["n_list"] = [int(n) for n in sizes]
     params.update(extra)
@@ -203,7 +179,7 @@ def _base_params(args, alpha: float, bstar: float,
 
 def cmd_edge(args) -> RunReport:
     sizes = _resolve_n_list(args)
-    limit = math.exp(args.bstar) * _edge_kernel(args.alpha, args.mu, args.nu)[0]
+    limit = math.exp(args.bstar) * edge_kernel(args.alpha, args.mu, args.nu)[0]
 
     def compute(n):
         scaled, raw, diag = edge_scaled_full(args.alpha, args.bstar,
@@ -224,8 +200,7 @@ def cmd_edge(args) -> RunReport:
 
 def cmd_bulk(args) -> RunReport:
     sizes = _resolve_n_list(args)
-    kernel = sine_kernel if args.alpha == 1.0 else t_kernel
-    limit = math.exp(args.bstar) * kernel(args.mu, args.nu)
+    limit = math.exp(args.bstar) * bulk_kernel(args.alpha, args.mu, args.nu)
 
     def compute(n):
         scaled, raw, diag = bulk_scaled_full(args.alpha, args.bstar, args.xi,
@@ -238,14 +213,7 @@ def cmd_bulk(args) -> RunReport:
 
 def cmd_corr(args) -> RunReport:
     sizes = _resolve_n_list(args)
-    off, _ = _edge_kernel(args.alpha, args.mu, args.nu)
-    diag_mu, _ = _edge_kernel(args.alpha, args.mu, args.mu)
-    diag_nu, _ = _edge_kernel(args.alpha, args.nu, args.nu)
-    if diag_mu <= 0.0 or diag_nu <= 0.0:
-        raise DegenerateDenominatorError(
-            f"limit kernel diagonal not positive at mu={args.mu}, nu={args.nu}"
-        )
-    limit = off / math.sqrt(diag_mu * diag_nu)
+    limit = edge_correlation(args.alpha, args.mu, args.nu)
 
     def compute(n):
         mu_n, nu_n = edge_points(n, args.mu, args.nu)
@@ -303,17 +271,14 @@ def cmd_oracle(args) -> RunReport:
 
 def cmd_kernel(args) -> RunReport:
     quad_value = i_alpha(args.alpha, args.mu, args.nu)
-    if args.alpha == 0.0:
-        closed, route = airy_product(args.mu, args.nu), "airy-product"
-    else:
-        closed, route = _edge_kernel(args.alpha, args.mu, args.nu)
+    closed, route = edge_kernel(args.alpha, args.mu, args.nu)
     rows = [_row(0, scaled_from_real(closed), closed, quad_value, 1.0)]
     diagnostics = {
         "closed_form": route,
         "quadrature_halfwidth": DEFAULT_LINE_QUAD.truncation_halfwidth,
         "quadrature_points": DEFAULT_LINE_QUAD.point_count,
     }
-    return RunReport("kernel", _base_params(args, args.alpha, args.bstar),
+    return RunReport("kernel", _base_params(args, args.alpha, None),
                      rows, diagnostics)
 
 
@@ -444,9 +409,12 @@ def _options(*adders) -> argparse.ArgumentParser:
     return parent
 
 
-def _order_options(parser: argparse.ArgumentParser) -> None:
+def _alpha_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=1.0,
                         help="kernel family order (default 1)")
+
+
+def _bstar_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bstar", type=float, default=0.0,
                         help="fourth-moment shift in the prefactor exp(bstar)")
 
@@ -487,12 +455,12 @@ def _ensemble_options(parser: argparse.ArgumentParser) -> None:
 def _build_parser() -> _Parser:
     # Each subcommand takes only the options it reads: the ensemble and
     # entry law of oracle and mc fix alpha and bstar, and a kernel value
-    # has no matrix size.
-    common = _options(_order_options, _point_options, _size_options,
-                      _output_options)
+    # has no matrix size and no exp(bstar) prefactor.
+    common = _options(_alpha_option, _bstar_option, _point_options,
+                      _size_options, _output_options)
     ensemble = _options(_point_options, _size_options, _output_options,
                         _ensemble_options)
-    size_free = _options(_order_options, _point_options, _output_options)
+    size_free = _options(_alpha_option, _point_options, _output_options)
     parser = _Parser(
         prog="wigcorr",
         description="Correlation functions of Wigner characteristic "

@@ -23,7 +23,6 @@ import decimal
 import functools
 import math
 import mmap
-import numbers
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional
@@ -31,7 +30,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import CancellationError, DomainError
+from .errors import CancellationError, DomainError, check_finite, check_order
 from .numeric_core import ONE, ScaledReal, scaled_from_log
 from .special_fn import sigma_from_moments
 
@@ -93,9 +92,8 @@ class EgfParams:
     nu: float
 
     def __post_init__(self):
-        for name in ("alpha", "bstar", "mu", "nu"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        check_finite("generating-function arguments alpha, bstar, mu, nu",
+                     self.alpha, self.bstar, self.mu, self.nu)
         if not (self.alpha > 0):
             raise DomainError(f"alpha must be positive, got {self.alpha}")
 
@@ -124,10 +122,7 @@ class ContourJob:
     points: int = field(init=False)
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise DomainError(f"coefficient order {self.n!r} is not an integer")
-        if not (0 <= self.n <= MP_MAX_N):
-            raise DomainError(f"coefficient order {self.n} outside [0, {MP_MAX_N}]")
+        check_order(self.n, 0, MP_MAX_N, "coefficient order")
         if not (0.0 < self.radius < 1.0):
             raise DomainError(f"radius {self.radius} outside (0, 1)")
         if self.radius > MAX_ABS_Z:
@@ -342,8 +337,7 @@ def edge_points(n: int, mu: float, nu: float):
 
 def edge_scaled_full(alpha: float, bstar: float, mu: float, nu: float, n: int):
     """Edge-scaled value together with the raw coefficient and diagnostics."""
-    if not (1 <= n <= EDGE_MAX_N):
-        raise DomainError(f"edge order n = {n} outside [1, {EDGE_MAX_N}]")
+    check_order(n, 1, EDGE_MAX_N, "edge order n =")
     mu_n, nu_n = edge_points(n, mu, nu)
     job = ContourJob.with_defaults(EgfParams(alpha, bstar, mu_n, nu_n), n)
     value, diag = extract_f(job)
@@ -370,10 +364,7 @@ def bulk_scaled_full(alpha: float, bstar: float, xi: float, mu: float,
     """
     if alpha not in (1.0, 2.0):
         raise DomainError(f"bulk mode supports alpha 1 or 2, got {alpha}")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise DomainError(f"bulk order n = {n!r} is not an integer")
-    if not (1 <= n <= BULK_MAX_N):
-        raise DomainError(f"bulk order n = {n} outside [1, {BULK_MAX_N}]")
+    check_order(n, 1, BULK_MAX_N, "bulk order n =")
     if abs(xi) > BULK_MAX_XI:
         raise DomainError(f"bulk position {xi} outside [-{BULK_MAX_XI}, {BULK_MAX_XI}]")
     rho_xi = rho(xi)
@@ -392,15 +383,22 @@ def _extract_at(alpha: float, bstar: float, mu: float, nu: float, n: int) -> Sca
     return value
 
 
-def _sigma_is_one(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
-                  n: int) -> bool:
-    """Refuse what EgfParams refuses and orders outside [1, EDGE_MAX_N]
-    (at n = 0 both polynomials are constant), then say whether the
-    coefficient is 1 by definition: whether mu_pt == nu_pt."""
+def _sigma(alpha: float, bstar: float, mu_pt: float, nu_pt: float, n: int,
+           f_cross: Optional[ScaledReal]) -> float:
+    """sigma_alpha, extracting f_cross if it is None. At n = 0 both
+    polynomials are constant; at mu_pt == nu_pt sigma is 1 by definition."""
     EgfParams(alpha, bstar, mu_pt, nu_pt)
-    if not (1 <= n <= EDGE_MAX_N):
-        raise DomainError(f"correlation order n = {n} outside [1, {EDGE_MAX_N}]")
-    return mu_pt == nu_pt
+    check_order(n, 1, EDGE_MAX_N, "correlation order n =")
+    if mu_pt == nu_pt:
+        return 1.0
+    if f_cross is None:
+        f_cross = _extract_at(alpha, bstar, mu_pt, nu_pt, n)
+    f_mumu = _extract_at(alpha, bstar, mu_pt, mu_pt, n)
+    f_nunu = _extract_at(alpha, bstar, nu_pt, nu_pt, n)
+    return sigma_from_moments(
+        n, mu_pt, nu_pt, f_cross, f_mumu, f_nunu,
+        f"nonpositive variance factor at n = {n}, points ({mu_pt}, {nu_pt})",
+    )
 
 
 def sigma_alpha(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
@@ -410,20 +408,10 @@ def sigma_alpha(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
     Evaluation points are raw arguments; callers studying edge behaviour
     pass edge-scaled points themselves.
     """
-    if _sigma_is_one(alpha, bstar, mu_pt, nu_pt, n):
-        return 1.0
-    f_cross = _extract_at(alpha, bstar, mu_pt, nu_pt, n)
-    return sigma_from_cross(f_cross, alpha, bstar, mu_pt, nu_pt, n)
+    return _sigma(alpha, bstar, mu_pt, nu_pt, n, None)
 
 
 def sigma_from_cross(f_cross: ScaledReal, alpha: float, bstar: float,
                      mu_pt: float, nu_pt: float, n: int) -> float:
     """sigma_alpha for a caller that already holds f_cross = f_n(mu_pt, nu_pt)."""
-    if _sigma_is_one(alpha, bstar, mu_pt, nu_pt, n):
-        return 1.0
-    f_mumu = _extract_at(alpha, bstar, mu_pt, mu_pt, n)
-    f_nunu = _extract_at(alpha, bstar, nu_pt, nu_pt, n)
-    return sigma_from_moments(
-        n, mu_pt, nu_pt, f_cross, f_mumu, f_nunu,
-        f"nonpositive variance factor at n = {n}, points ({mu_pt}, {nu_pt})",
-    )
+    return _sigma(alpha, bstar, mu_pt, nu_pt, n, f_cross)

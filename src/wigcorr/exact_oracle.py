@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_order
 
 __all__ = [
     "EnsembleKind",
@@ -56,6 +56,7 @@ class MomentProfile:
     m4: float
 
     def __post_init__(self):
+        check_finite("moments m2, m3, m4", self.m2, self.m3, self.m4)
         if not (self.m2 > 0.0):
             raise DomainError(f"m2 must be positive, got {self.m2}")
         if self.m4 < self.m2 ** 2 - 1e-12:
@@ -160,8 +161,8 @@ def oracle_f(kind: EnsembleKind, moments: MomentProfile, n: int,
     the same order as a per-pair product, so the result does not depend
     on the block size.
     """
-    if not (1 <= n <= ORACLE_F_MAX_N):
-        raise DomainError(f"oracle_f needs 1 <= n <= {ORACLE_F_MAX_N}, got {n}")
+    check_order(n, 1, ORACLE_F_MAX_N, "oracle_f order")
+    check_finite("oracle_f points", mu, nu)
     _check_profile(kind, moments)
     m2, m3, m4 = moments.m2, moments.m3, moments.m4
     _, signs = _perm_table(n)

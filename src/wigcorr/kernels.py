@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericalConsistencyError
+from .errors import (DegenerateDenominatorError, DomainError, NumericalConsistencyError,
+                     check_finite)
 from .numeric_core import QuadratureSpec, mixed_central_diff, trapezoid_line
 from .special_fn import airy
 
@@ -32,6 +33,9 @@ __all__ = [
     "i_alpha",
     "i_alpha_diagonal",
     "airy_product",
+    "edge_kernel",
+    "bulk_kernel",
+    "edge_correlation",
     "operator_step",
     "diag_recursion_check",
 ]
@@ -54,14 +58,9 @@ DEFAULT_LINE_QUAD = QuadratureSpec(truncation_halfwidth=20.0, point_count=4000)
 _RECURSION_NODES = 80
 
 
-def _check_finite(mu: float, nu: float, name: str) -> None:
-    if not (math.isfinite(mu) and math.isfinite(nu)):
-        raise DomainError(f"{name} arguments ({mu}, {nu}) not finite")
-
-
 def sine_kernel(mu: float, nu: float) -> float:
     """sin(pi d) / (pi d) with d = mu - nu, continuously extended."""
-    _check_finite(mu, nu, "sine_kernel")
+    check_finite("sine_kernel arguments", mu, nu)
     d = mu - nu
     if abs(d) < SINE_TAYLOR_AT:
         return 1.0 - (math.pi * d) ** 2 / 6.0
@@ -70,7 +69,7 @@ def sine_kernel(mu: float, nu: float) -> float:
 
 def t_kernel(mu: float, nu: float) -> float:
     """2 sin(pi d)/(pi d^3) - 2 cos(pi d)/d^2 with d = mu - nu."""
-    _check_finite(mu, nu, "t_kernel")
+    check_finite("t_kernel arguments", mu, nu)
     d = mu - nu
     if abs(d) < T_TAYLOR_AT:
         return 2.0 * math.pi ** 2 / 3.0 - math.pi ** 4 * d * d / 15.0
@@ -197,8 +196,39 @@ def airy_product(x: float, y: float) -> float:
     z^(-1/2) on the line z = 1 - iu, and the result equals the pointwise
     product of Airy values.
     """
-    _check_box(x, y, "airy_product")
     return i_alpha(0.0, x, y)
+
+
+def edge_kernel(alpha: float, mu: float, nu: float):
+    """Edge limit kernel of order alpha and the route that gave it: the
+    closed form at orders 0, 1 and 2, else the defining line integral.
+    Order 0 is the Airy product, i_alpha(0, mu, nu) bit for bit."""
+    if alpha == 0.0:
+        return airy_product(mu, nu), "airy-product"
+    if alpha == 1.0:
+        return airy_kernel(mu, nu), "airy-kernel"
+    if alpha == 2.0:
+        return b_kernel(mu, nu), "b-kernel"
+    return i_alpha(alpha, mu, nu), "line-quadrature"
+
+
+def bulk_kernel(alpha: float, mu: float, nu: float) -> float:
+    """Bulk limit kernel of order alpha: sine_kernel at 1, t_kernel at 2."""
+    if alpha not in (1.0, 2.0):
+        raise DomainError(f"bulk limit kernel defined for alpha 1 or 2, got {alpha}")
+    return (sine_kernel if alpha == 1.0 else t_kernel)(mu, nu)
+
+
+def edge_correlation(alpha: float, mu: float, nu: float) -> float:
+    """Edge limit of the correlation coefficient, K(mu, nu) / sqrt(K(mu, mu)
+    K(nu, nu)) with K = edge_kernel of order alpha; a diagonal that is not
+    positive raises DegenerateDenominatorError."""
+    diag_mu, _ = edge_kernel(alpha, mu, mu)
+    diag_nu, _ = edge_kernel(alpha, nu, nu)
+    if diag_mu <= 0.0 or diag_nu <= 0.0:
+        raise DegenerateDenominatorError(
+            f"limit kernel diagonal not positive at mu={mu}, nu={nu}")
+    return edge_kernel(alpha, mu, nu)[0] / math.sqrt(diag_mu * diag_nu)
 
 
 def operator_step(f: Callable[[float, float], float], mu: float, nu: float,

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericalConsistencyError
+from .errors import DomainError, NumericalConsistencyError, check_finite
 
 __all__ = [
     "ScaledReal",
@@ -45,8 +45,8 @@ class ScaledReal:
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise DomainError(f"sign must be -1, 0, or +1, got {self.sign!r}")
-        if self.sign != 0 and not math.isfinite(self.log_mag):
-            raise DomainError(f"log_mag must be finite, got {self.log_mag!r}")
+        if self.sign != 0:
+            check_finite("ScaledReal log_mag", self.log_mag)
 
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -63,8 +63,7 @@ ONE = ScaledReal(1, 0.0)
 
 
 def scaled_from_real(x: float) -> ScaledReal:
-    if not math.isfinite(x):
-        raise DomainError(f"cannot represent non-finite value {x!r}")
+    check_finite("scaled_from_real argument", x)
     if x == 0.0:
         return ZERO
     return ScaledReal(1 if x > 0 else -1, math.log(abs(x)))

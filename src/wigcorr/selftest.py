@@ -23,8 +23,6 @@ from .exact_oracle import EnsembleKind, MomentProfile
 from .numeric_core import (QuadratureSpec, central_diff, scaled_add, scaled_from_real,
                            scaled_mul, scaled_to_real_checked)
 
-EDGE_KERNELS = {1.0: kernels.airy_kernel, 2.0: kernels.b_kernel}
-BULK_KERNELS = {1.0: kernels.sine_kernel, 2.0: kernels.t_kernel}
 Points = Sequence[Tuple[float, float]]
 
 _OPS = {"<=": operator.le, "<": operator.lt, ">": operator.gt,
@@ -166,7 +164,8 @@ def closed_forms(points: Points, tol: float, orders: Sequence[float] = (1.0, 2.0
     worst = 0.0
     for x, y in points:
         for alpha in orders:
-            worst = max(worst, abs(kernels.i_alpha(alpha, x, y) - EDGE_KERNELS[alpha](x, y)))
+            closed, _ = kernels.edge_kernel(alpha, x, y)
+            worst = max(worst, abs(kernels.i_alpha(alpha, x, y) - closed))
     return [("closed-form order " + ",".join(f"{a:g}" for a in orders), worst, "<=", tol)]
 
 
@@ -200,7 +199,7 @@ def edge_trend(alpha: float, points: Points, sizes: Sequence[int], window):
     lies in the (low, high) window."""
     shrinks, lasts = [], []
     for mu, nu in points:
-        limit = EDGE_KERNELS[alpha](mu, nu)
+        limit, _ = kernels.edge_kernel(alpha, mu, nu)
         errs = [abs(egf_engine.edge_scaled_f(alpha, 0.0, mu, nu, n) - limit) for n in sizes]
         shrinks += [a / b for a, b in zip(errs, errs[1:])]  # all > 1 iff decreasing
         lasts.append((f"({mu:g}, {nu:g}) last shrink", shrinks[-1], "in", window))
@@ -210,9 +209,8 @@ def edge_trend(alpha: float, points: Points, sizes: Sequence[int], window):
 @_check
 def correlation_trend(alpha: float, point, sizes: Sequence[int], tol: float):
     """Edge correlation error: the last within tol, none above the one before."""
-    kern = EDGE_KERNELS[alpha]
     mu, nu = point
-    limit = kern(mu, nu) / math.sqrt(kern(mu, mu) * kern(nu, nu))
+    limit = kernels.edge_correlation(alpha, mu, nu)
     errs = []
     for n in sizes:
         mu_n, nu_n = egf_engine.edge_points(n, mu, nu)
@@ -225,7 +223,7 @@ def correlation_trend(alpha: float, point, sizes: Sequence[int], tol: float):
 def bulk_trend(alpha: float, point: Tuple[float, float], sizes: Sequence[int]):
     """Bulk errors shrink along sizes."""
     mu, nu = point
-    limit = BULK_KERNELS[alpha](mu, nu)
+    limit = kernels.bulk_kernel(alpha, mu, nu)
     errs = [abs(egf_engine.bulk_scaled_full(alpha, 0.0, 0.0, mu, nu, n)[0] - limit)
             for n in sizes]
     return _trend(f"alpha {alpha:g} ({mu:g}, {nu:g})", sizes, errs, "<")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import airy as _scipy_airy, gammaln
 
-from .errors import DegenerateDenominatorError, DomainError
+from .errors import DegenerateDenominatorError, DomainError, check_finite, check_order
 from .numeric_core import (
     ONE,
     ZERO,
@@ -61,8 +61,7 @@ class AiryPair:
 
 
 def _check_airy_domain(x: float) -> None:
-    if not math.isfinite(x):
-        raise DomainError(f"airy argument must be finite, got {x!r}")
+    check_finite("airy argument", x)
     if abs(x) > AIRY_DOMAIN:
         raise DomainError(f"airy argument {x} outside [-{AIRY_DOMAIN}, {AIRY_DOMAIN}]")
 
@@ -128,10 +127,8 @@ def _hermite_seq(n: int, x: float):
 
 def hermite_phys(n: int, x: float) -> ScaledReal:
     """Physicists' Hermite polynomial H_n(x) in scaled form."""
-    if n < 0 or n > HERMITE_MAX_N:
-        raise DomainError(f"hermite_phys degree {n} outside [0, {HERMITE_MAX_N}]")
-    if not math.isfinite(x):
-        raise DomainError(f"hermite_phys argument must be finite, got {x!r}")
+    check_order(n, 0, HERMITE_MAX_N, "hermite_phys degree")
+    check_finite("hermite_phys argument", x)
     if n == 0:
         return ONE
     tx = 2.0 * x
@@ -183,10 +180,8 @@ def gue_kernel(n: int, x: float, y: float) -> ScaledReal:
     are combined under a running max-exponent shift so no intermediate
     leaves double range.
     """
-    if n < 1 or n > GUE_KERNEL_MAX_N:
-        raise DomainError(f"gue_kernel order {n} outside [1, {GUE_KERNEL_MAX_N}]")
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"gue_kernel arguments ({x!r}, {y!r}) must be finite")
+    check_order(n, 1, GUE_KERNEL_MAX_N, "gue_kernel order")
+    check_finite("gue_kernel arguments", x, y)
     rt2 = math.sqrt(2.0)
     sx, lx = _hermite_seq(n - 1, x / rt2)
     sy, ly = _hermite_seq(n - 1, y / rt2)

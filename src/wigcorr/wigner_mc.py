@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DomainError, NumericalConsistencyError
+from .errors import DomainError, NumericalConsistencyError, check_finite, check_order
 from .exact_oracle import EnsembleKind, MomentProfile, ensemble_variance
 from .numeric_core import ZERO, ScaledReal, scaled_from_log
 from .special_fn import sigma_from_moments
@@ -154,15 +154,9 @@ class MCConfig:
     points: tuple = field(default=((0.0, 0.0),))
 
     def __post_init__(self):
-        if not (1 <= self.n <= MC_MAX_N):
-            raise DomainError(f"matrix size n = {self.n} outside [1, {MC_MAX_N}]")
-        if self.samples < MC_MIN_SAMPLES:
-            raise DomainError(f"need at least {MC_MIN_SAMPLES} samples")
-        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
-                or not 0 <= self.seed < SEED_LIMIT):
-            raise DomainError(
-                f"seed must be an integer in [0, 2**128), got {self.seed!r}"
-            )
+        check_order(self.n, 1, MC_MAX_N, "matrix size n =")
+        check_order(self.samples, MC_MIN_SAMPLES, math.inf, "sample count")
+        check_order(self.seed, 0, SEED_LIMIT - 1, "seed")
         want = ensemble_variance(self.ensemble)
         if self.dist.target_variance != want:
             raise DomainError(
@@ -170,8 +164,9 @@ class MCConfig:
                 f"distribution has {self.dist.target_variance}"
             )
         for pt in self.points:
-            if len(pt) != 2 or not all(math.isfinite(v) for v in pt):
+            if len(pt) != 2:
                 raise DomainError(f"bad evaluation point {pt!r}")
+            check_finite("evaluation point", *pt)
 
 
 @dataclass(frozen=True)

@@ -297,6 +297,8 @@ def test_failed_selftest_bound_shows_its_margin(monkeypatch):
     # a kernel value has no matrix size; --n must not pass for --nu
     ["kernel", "--n", "5"],
     ["kernel", "--n-list", "5,6"],
+    # a kernel value carries no exp(bstar) prefactor
+    ["kernel", "--bstar", "1"],
 ])
 def test_options_of_other_subcommands_exit_three(argv, capsys):
     with pytest.raises(SystemExit) as info:
