@@ -20,16 +20,12 @@ from .errors import (
     NumericalConsistencyError,
 )
 from .numeric_core import (
-    QuadratureSpec,
     ScaledReal,
-    central_diff,
-    mixed_central_diff,
     scaled_add,
     scaled_div,
     scaled_from_real,
     scaled_mul,
     scaled_to_real_checked,
-    trapezoid_line,
 )
 
 __all__ = [
@@ -37,15 +33,11 @@ __all__ = [
     "DegenerateDenominatorError",
     "DomainError",
     "NumericalConsistencyError",
-    "QuadratureSpec",
     "ScaledReal",
-    "central_diff",
-    "mixed_central_diff",
     "scaled_add",
     "scaled_div",
     "scaled_from_real",
     "scaled_mul",
     "scaled_to_real_checked",
-    "trapezoid_line",
     "__version__",
 ]

@@ -38,7 +38,7 @@ from .egf_engine import (
     sigma_alpha,
     sigma_from_cross,
 )
-from .errors import DomainError, NumericalConsistencyError
+from .errors import DegenerateDenominatorError, DomainError, NumericalConsistencyError
 from .exact_oracle import (
     ORACLE_F_MAX_N,
     EnsembleKind,
@@ -46,8 +46,9 @@ from .exact_oracle import (
     ensemble_alpha,
     oracle_f,
 )
-from .kernels import DEFAULT_LINE_QUAD, bulk_kernel, edge_correlation, edge_kernel, i_alpha
+from .kernels import bulk_kernel, edge_correlation, edge_kernel, i_alpha
 from .numeric_core import (
+    DEFAULT_LINE_QUAD,
     ScaledReal,
     scaled_div,
     scaled_from_real,
@@ -251,10 +252,6 @@ def cmd_oracle(args) -> RunReport:
     kind, _, moments, alpha, bstar = _ensemble_setup(args)
 
     def compute(n):
-        if n > ORACLE_F_MAX_N:
-            raise DomainError(
-                f"exact expansion supports n <= {ORACLE_F_MAX_N}, got {n}"
-            )
         exact = oracle_f(kind, moments, n, args.mu, args.nu)
         job = ContourJob.with_defaults(EgfParams(alpha, bstar, args.mu, args.nu), n)
         value, diag = extract_f(job)
@@ -305,6 +302,9 @@ def cmd_mc(args) -> RunReport:
             reference, route = _mc_reference(
                 kind, moments, alpha, bstar, n, args.mu, args.nu
             )
+            if reference.is_zero():
+                raise DegenerateDenominatorError(
+                    f"{route} reference is exactly zero, so no ratio")
             # Values themselves overflow doubles for large n, so the
             # normalized column is the ratio to the reference route.
             ratio = (0.0 if est.mean.is_zero() else

@@ -40,7 +40,6 @@ __all__ = [
     "SaddleData",
     "rho",
     "edge_lognorm",
-    "bulk_lognorm",
     "extract_f",
     "edge_points",
     "edge_scaled_f",
@@ -123,10 +122,8 @@ class ContourJob:
 
     def __post_init__(self):
         check_order(self.n, 0, MP_MAX_N, "coefficient order")
-        if not (0.0 < self.radius < 1.0):
-            raise DomainError(f"radius {self.radius} outside (0, 1)")
-        if self.radius > MAX_ABS_Z:
-            raise DomainError(f"radius {self.radius} above {MAX_ABS_Z}")
+        if not (0.0 < self.radius <= MAX_ABS_Z):
+            raise DomainError(f"radius {self.radius} outside (0, {MAX_ABS_Z}]")
         object.__setattr__(self, "points", default_points(self.n))
 
     @classmethod
@@ -152,23 +149,10 @@ def rho(xi: float) -> float:
 
 def edge_lognorm(alpha: float, n: int, mu: float, nu: float) -> float:
     """Natural log of the edge normalizer."""
+    check_order(n, 1, EDGE_MAX_N, "edge order n =")
     return (0.5 * math.log(2.0 * math.pi) + float(gammaln(n + 1))
             + (2.0 * alpha - 1.0) / 6.0 * math.log(n)
             + 2.0 * n + (mu + nu) * n ** (1.0 / 3.0))
-
-
-def bulk_lognorm(alpha: float, n: int, xi: float, mu: float, nu: float) -> float:
-    """Natural log of the bulk normalizer (orders 1 and 2 only)."""
-    rho_xi = rho(xi)
-    if alpha == 1.0:
-        n_pow, rho_pow = 0.5, 1.0
-    elif alpha == 2.0:
-        n_pow, rho_pow = 1.5, 3.0
-    else:
-        raise DomainError(f"bulk normalizer defined for alpha 1 or 2, got {alpha}")
-    return (0.5 * math.log(2.0 * math.pi) + float(gammaln(n + 1))
-            + n_pow * math.log(n) + rho_pow * math.log(rho_xi)
-            + 0.5 * n * xi * xi + 0.5 * (mu + nu) * xi / rho_xi)
 
 
 def _circle(radius: float, points: int):
@@ -179,15 +163,14 @@ def _circle(radius: float, points: int):
 
 @functools.lru_cache(maxsize=8)
 def _circle_logs(radius: float, points: int) -> np.ndarray:
-    """`_disc_logs` of the circle of `_circle`, shared by its extractions."""
+    """`_disc_logs` of the circle of `_circle`, shared by its extractions.
+    The radius is a ContourJob's, so it is at most MAX_ABS_Z."""
     return _disc_logs(_circle(radius, points)[1])
 
 
 def _disc_logs(z: np.ndarray) -> np.ndarray:
     """Read-only (2, len(z)) array of Log(1 - z) and Log(1 + z), |z| < 1;
     both are principal, since Re(1 +- z) > 0 inside the unit disc."""
-    if (np.abs(z) > MAX_ABS_Z + 1e-15).any():
-        raise DomainError(f"|z| must be <= {MAX_ABS_Z}")
     # Anonymous pages, not the malloc heap: there a long-lived array pins
     # the freed temporaries around it (about 2 MB more peak RSS at n = 10^6).
     logs = np.frombuffer(mmap.mmap(-1, 32 * len(z)), dtype=complex).reshape(2, -1)
@@ -330,6 +313,8 @@ def _recurrence_value(params: EgfParams, n: int, at):
 
 def edge_points(n: int, mu: float, nu: float):
     """Evaluation points at offsets (mu, nu) from the spectral edge."""
+    check_order(n, 1, EDGE_MAX_N, "edge order n =")
+    check_finite("edge offsets mu, nu", mu, nu)
     root = math.sqrt(n)
     sixth = n ** (-1.0 / 6.0)
     return 2.0 * root + mu * sixth, 2.0 * root + nu * sixth
@@ -337,7 +322,6 @@ def edge_points(n: int, mu: float, nu: float):
 
 def edge_scaled_full(alpha: float, bstar: float, mu: float, nu: float, n: int):
     """Edge-scaled value together with the raw coefficient and diagnostics."""
-    check_order(n, 1, EDGE_MAX_N, "edge order n =")
     mu_n, nu_n = edge_points(n, mu, nu)
     job = ContourJob.with_defaults(EgfParams(alpha, bstar, mu_n, nu_n), n)
     value, diag = extract_f(job)
@@ -373,7 +357,11 @@ def bulk_scaled_full(alpha: float, bstar: float, xi: float, mu: float,
     nu_n = root * xi + nu / (root * rho_xi)
     params = EgfParams(alpha, bstar, mu_n, nu_n)
     value, _, error = _recurrence_value(params, n, params)
-    scaled = value.sign * math.exp(value.log_mag - bulk_lognorm(alpha, n, xi, mu, nu))
+    n_pow, rho_pow = (0.5, 1.0) if alpha == 1.0 else (1.5, 3.0)
+    lognorm = (0.5 * math.log(2.0 * math.pi) + float(gammaln(n + 1))
+               + n_pow * math.log(n) + rho_pow * math.log(rho_xi)
+               + 0.5 * n * xi * xi + 0.5 * (mu + nu) * xi / rho_xi)
+    scaled = value.sign * math.exp(value.log_mag - lognorm)
     return scaled, value, SaddleData(error / ((n + 1) * _RECURRENCE_UNIT))
 
 

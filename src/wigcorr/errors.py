@@ -46,4 +46,5 @@ class CancellationError(NumericalConsistencyError):
 
 
 class DegenerateDenominatorError(NumericalConsistencyError):
-    """A variance factor in a correlation ratio is not positive."""
+    """A ratio's denominator is exactly zero, or a variance factor in a
+    correlation ratio is not positive."""

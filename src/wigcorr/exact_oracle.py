@@ -11,6 +11,7 @@ n.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -22,8 +23,8 @@ from .errors import DomainError, check_finite, check_order
 __all__ = [
     "EnsembleKind",
     "MomentProfile",
+    "law_moments",
     "gaussian_profile",
-    "rademacher_profile",
     "bstar_for",
     "ensemble_alpha",
     "ensemble_variance",
@@ -65,16 +66,26 @@ class MomentProfile:
             )
 
 
+def law_moments(law: str, m2: float, p: float = 0.5) -> MomentProfile:
+    """Moments of a centred entry law at variance m2, one row per law:
+    "gaussian", "uniform", and "two_point", which puts mass p on its
+    positive atom. "rademacher" is the two-point law at p = 1/2."""
+    if law == "gaussian":
+        return MomentProfile(m2, 0.0, 3.0 * m2 * m2)
+    if law == "uniform":
+        return MomentProfile(m2, 0.0, 9.0 * m2 * m2 / 5.0)
+    if law == "rademacher":
+        p = 0.5
+    elif law != "two_point":
+        raise DomainError(f"unknown entry distribution {law!r}")
+    m3 = m2 ** 1.5 * (1.0 - 2.0 * p) / math.sqrt(p * (1.0 - p))
+    m4 = m2 * m2 * (1.0 - 3.0 * p + 3.0 * p * p) / (p * (1.0 - p))
+    return MomentProfile(m2, m3, m4)
+
+
 def gaussian_profile(kind: EnsembleKind) -> MomentProfile:
     """Moments of a centered Gaussian at the variance the ensemble fixes."""
-    m2 = ensemble_variance(kind)
-    return MomentProfile(m2, 0.0, 3.0 * m2 * m2)
-
-
-def rademacher_profile(kind: EnsembleKind) -> MomentProfile:
-    """Moments of a symmetric two-point law at the ensemble variance."""
-    m2 = ensemble_variance(kind)
-    return MomentProfile(m2, 0.0, m2 * m2)
+    return law_moments("gaussian", ensemble_variance(kind))
 
 
 def _check_profile(kind: EnsembleKind, moments: MomentProfile) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DegenerateDenominatorError, DomainError, NumericalConsistencyError,
                      check_finite)
-from .numeric_core import QuadratureSpec, mixed_central_diff, trapezoid_line
+from .numeric_core import DEFAULT_LINE_QUAD, QuadratureSpec, trapezoid_line
 from .special_fn import airy
 
 __all__ = [
@@ -52,7 +52,6 @@ B_QUAD_AT = 1e-3
 
 IMAG_TOL = 1e-10
 
-DEFAULT_LINE_QUAD = QuadratureSpec(truncation_halfwidth=20.0, point_count=4000)
 # Gauss-Legendre nodes of diag_recursion_check's integral over y. Its
 # |lhs - rhs| stays below 1e-13 at 80 nodes (6e-13 at 64, 1e-6 at 48).
 _RECURSION_NODES = 80
@@ -178,14 +177,15 @@ def i_alpha(alpha: float, mu: float, nu: float,
 
 def i_alpha_diagonal(alpha: float, xs: np.ndarray) -> np.ndarray:
     """i_alpha(alpha, x, x) over an array of diagonal points, bit for bit.
-    All points are box-checked first; an imaginary residue names the
-    (alpha, x) of the first point that leaves one."""
+    All points are box-checked first, a refusal naming the point; an
+    imaginary residue names the (alpha, x) of the first point that leaves one."""
     _check_alpha(alpha)
     xs = np.asarray(xs, dtype=float)
-    if not (np.abs(xs) <= ARG_BOX).all():
-        raise DomainError("diagonal points outside the argument box or not finite")
+    points = xs.ravel().tolist()
+    for x in points:
+        _check_box(x, x, "i_alpha_diagonal")
     vals = [_line_value(alpha, x, x, DEFAULT_LINE_QUAD, "i_alpha_diagonal", (alpha, x))
-            for x in xs.ravel().tolist()]
+            for x in points]
     return np.array(vals, dtype=float).reshape(xs.shape)
 
 
@@ -244,7 +244,9 @@ def operator_step(f: Callable[[float, float], float], mu: float, nu: float,
         raise DomainError(
             f"arguments ({mu}, {nu}) too close for stencil with h = {h}"
         )
-    return mixed_central_diff(f, mu, nu, h)
+    df_dnu = (f(mu, nu + h) - f(mu, nu - h)) / (2.0 * h)
+    df_dmu = (f(mu + h, nu) - f(mu - h, nu)) / (2.0 * h)
+    return (df_dnu - df_dmu) / (mu - nu)
 
 
 @functools.lru_cache(maxsize=1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,8 +25,6 @@ __all__ = [
     "scaled_from_real",
     "scaled_to_real_checked",
     "trapezoid_line",
-    "central_diff",
-    "mixed_central_diff",
 ]
 
 
@@ -142,6 +139,10 @@ class QuadratureSpec:
         )
 
 
+# The one line rule: i_alpha, i_alpha_diagonal and airy_contour use it.
+DEFAULT_LINE_QUAD = QuadratureSpec(truncation_halfwidth=20.0, point_count=4000)
+
+
 def trapezoid_line(vals: np.ndarray, spec: QuadratureSpec) -> complex:
     """Trapezoid approximation of an integral over [-U, U] from its
     samples on the nodes of the rule. Every sample must be finite."""
@@ -156,26 +157,3 @@ def trapezoid_line(vals: np.ndarray, spec: QuadratureSpec) -> complex:
     total = vals.sum() - 0.5 * (vals[0] + vals[-1])
     return complex(total * h)
 
-
-def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """Symmetric difference quotient (f(x+h) - f(x-h)) / 2h."""
-    if not (h > 0):
-        raise DomainError("step h must be positive")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def mixed_central_diff(
-    g: Callable[[float, float], float], x: float, y: float, h: float
-) -> float:
-    """Apply (1/(x-y)) (d/dy - d/dx) to a two-argument function.
-
-    Both partial derivatives use symmetric differences with the same step.
-    The caller is responsible for keeping |x - y| large against h.
-    """
-    if not (h > 0):
-        raise DomainError("step h must be positive")
-    if x == y:
-        raise DomainError("mixed_central_diff requires x != y")
-    dg_dy = (g(x, y + h) - g(x, y - h)) / (2.0 * h)
-    dg_dx = (g(x + h, y) - g(x - h, y)) / (2.0 * h)
-    return (dg_dy - dg_dx) / (x - y)

@@ -20,8 +20,8 @@ from scipy.special import gammaln
 from . import egf_engine, exact_oracle, kernels, special_fn, wigner_mc
 from .egf_engine import ContourJob, EgfParams
 from .exact_oracle import EnsembleKind, MomentProfile
-from .numeric_core import (QuadratureSpec, central_diff, scaled_add, scaled_from_real,
-                           scaled_mul, scaled_to_real_checked)
+from .numeric_core import (QuadratureSpec, scaled_add, scaled_from_real, scaled_mul,
+                           scaled_to_real_checked)
 
 Points = Sequence[Tuple[float, float]]
 
@@ -99,8 +99,9 @@ def oracle_vs_extraction(grid: Sequence[float], sizes: Sequence[int], tol: float
     worst = 0.0
     for kind in EnsembleKind:
         alpha = exact_oracle.ensemble_alpha(kind)
-        for profile in (exact_oracle.gaussian_profile(kind),
-                        exact_oracle.rademacher_profile(kind)):
+        m2 = exact_oracle.ensemble_variance(kind)
+        for profile in (exact_oracle.law_moments("gaussian", m2),
+                        exact_oracle.law_moments("rademacher", m2)):
             bstar = exact_oracle.bstar_for(kind, profile)
             for n in sizes:
                 for mu in grid:
@@ -266,9 +267,10 @@ def _airy_routes():
     for x in np.linspace(-10.0, 10.0, 41):
         lib, contour = special_fn.airy(float(x)), special_fn.airy_contour(float(x))
         routes = max(routes, abs(lib.ai - contour.ai), abs(lib.ai_prime - contour.ai_prime))
-    for x in np.linspace(-8.0, 8.0, 17):
-        second = central_diff(lambda t: special_fn.airy(t).ai_prime, float(x), 1e-4)
-        ode = max(ode, abs(second - x * special_fn.airy(float(x)).ai))
+    for x in map(float, np.linspace(-8.0, 8.0, 17)):
+        # Ai'' = x Ai, with Ai'' by a symmetric difference of Ai'
+        second = (special_fn.airy(x + 1e-4).ai_prime - special_fn.airy(x - 1e-4).ai_prime) / 2e-4
+        ode = max(ode, abs(second - x * special_fn.airy(x).ai))
     return [("route diff", routes, "<=", 1e-10), ("ODE residual", ode, "<=", 1e-6)]
 
 

@@ -22,9 +22,9 @@ from scipy.special import airy as _scipy_airy, gammaln
 
 from .errors import DegenerateDenominatorError, DomainError, check_finite, check_order
 from .numeric_core import (
+    DEFAULT_LINE_QUAD,
     ONE,
     ZERO,
-    QuadratureSpec,
     ScaledReal,
     scaled_add,
     scaled_from_log,
@@ -50,8 +50,6 @@ GUE_KERNEL_MAX_N = 2000
 # Renormalization threshold for the Hermite recurrence; values are scaled
 # down before they can overflow, with the scale tracked in log space.
 _RENORM_AT = 1e250
-
-DEFAULT_AIRY_QUAD = QuadratureSpec(truncation_halfwidth=20.0, point_count=4000)
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,10 @@ def airy_contour(x: float) -> AiryPair:
     c = math.sqrt(x) if x > 1.0 else 1.0
     # The factor exp(z^3/3 - x z) serves both integrands: Ai' integrates -z
     # times it.
-    z = c + 1j * DEFAULT_AIRY_QUAD.nodes()
+    z = c + 1j * DEFAULT_LINE_QUAD.nodes()
     e = np.exp(z ** 3 / 3.0 - x * z)
-    ai = trapezoid_line(e, DEFAULT_AIRY_QUAD).real / (2.0 * math.pi)
-    aip = trapezoid_line(-z * e, DEFAULT_AIRY_QUAD).real / (2.0 * math.pi)
+    ai = trapezoid_line(e, DEFAULT_LINE_QUAD).real / (2.0 * math.pi)
+    aip = trapezoid_line(-z * e, DEFAULT_LINE_QUAD).real / (2.0 * math.pi)
     return AiryPair(ai, aip)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DomainError, NumericalConsistencyError, check_finite, check_order
-from .exact_oracle import EnsembleKind, MomentProfile, ensemble_variance
+from .exact_oracle import EnsembleKind, MomentProfile, ensemble_variance, law_moments
 from .numeric_core import ZERO, ScaledReal, scaled_from_log
 from .special_fn import sigma_from_moments
 
@@ -72,7 +72,7 @@ class EntryDist:
     two_point places mass p at a positive value and 1-p at a negative
     one, sized so the mean is 0 and the variance is target_variance; p
     away from 1/2 makes it skewed, which is what the universality checks
-    want to stress.
+    want to stress. MCConfig admits only the variance its ensemble fixes.
     """
 
     kind: str
@@ -82,12 +82,9 @@ class EntryDist:
     def __post_init__(self):
         if self.kind not in DIST_KINDS:
             raise DomainError(f"unknown entry distribution {self.kind!r}")
-        if self.target_variance not in (0.5, 1.0):
-            raise DomainError(
-                f"target_variance must be 0.5 or 1.0, got {self.target_variance}"
-            )
         if not (0.0 < self.two_point_p < 1.0):
             raise DomainError(f"two_point_p must be in (0, 1), got {self.two_point_p}")
+        moments_of(self)  # MomentProfile refuses a variance not positive and finite
 
     def raw_sampler(self, rng: Generator):
         """rng's sampler of the raw variates the law maps to entries:
@@ -125,17 +122,7 @@ class EntryDist:
 
 def moments_of(dist: EntryDist) -> MomentProfile:
     """Exact moments m2..m4 realized by an EntryDist."""
-    tv = dist.target_variance
-    if dist.kind == "gaussian":
-        return MomentProfile(tv, 0.0, 3.0 * tv * tv)
-    if dist.kind == "rademacher":
-        return MomentProfile(tv, 0.0, tv * tv)
-    if dist.kind == "uniform":
-        return MomentProfile(tv, 0.0, 9.0 * tv * tv / 5.0)
-    p = dist.two_point_p
-    m3 = tv ** 1.5 * (1.0 - 2.0 * p) / math.sqrt(p * (1.0 - p))
-    m4 = tv * tv * (1.0 - 3.0 * p + 3.0 * p * p) / (p * (1.0 - p))
-    return MomentProfile(tv, m3, m4)
+    return law_moments(dist.kind, dist.target_variance, dist.two_point_p)
 
 
 def dist_for(kind: str, ensemble: EnsembleKind, two_point_p: float = 0.5) -> EntryDist:

@@ -16,6 +16,8 @@ from wigcorr.egf_engine import (
     ContourJob,
     EgfParams,
     bulk_scaled_full,
+    edge_lognorm,
+    edge_points,
     edge_scaled_full,
     sigma_alpha,
     sigma_from_cross,
@@ -41,6 +43,8 @@ def _mc(n=4, samples=200, seed=3, points=((0.3, -0.7),)):
 # by its Monte Carlo value, not only by the config.
 ORDER_ENTRIES = {
     "ContourJob": (lambda n: ContourJob(PARAMS, n, 0.5), 0, 5),
+    "edge_points": (lambda n: edge_points(n, 0.0, 1.0), 1, 8),
+    "edge_lognorm": (lambda n: edge_lognorm(1.0, n, 0.0, 1.0), 1, 8),
     "edge_scaled_full": (lambda n: edge_scaled_full(1.0, 0.0, 0.0, 1.0, n), 1, 8),
     "bulk_scaled_full": (lambda n: bulk_scaled_full(1.0, 0.0, 0.0, 0.25, -0.25, n), 1, 8),
     # equal points: the coefficient is 1 by definition, after the checks
@@ -59,6 +63,8 @@ ORDER_ENTRIES = {
 REAL_ENTRIES = {
     "EgfParams.alpha": lambda x: EgfParams(x, 0.0, 0.3, -0.7),
     "EgfParams.mu": lambda x: EgfParams(1.0, 0.0, x, -0.7),
+    "edge_points.mu": lambda x: edge_points(8, x, 1.0),
+    "edge_points.nu": lambda x: edge_points(8, 0.0, x),
     "edge_scaled_full.mu": lambda x: edge_scaled_full(1.0, 0.0, x, 1.0, 8),
     "bulk_scaled_full.nu": lambda x: bulk_scaled_full(1.0, 0.0, 0.0, 0.25, x, 8),
     "sigma_alpha.nu_pt": lambda x: sigma_alpha(1.0, 0.0, 0.3, x, 8),

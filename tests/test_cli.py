@@ -133,7 +133,7 @@ def test_oracle_rejects_large_n(capsys):
     code, out, err = run(capsys, ["oracle", "--n", "7"])
     assert code == 3
     assert out == ""
-    assert "n <= 6" in err
+    assert "oracle_f order 7 outside [1, 6]" in err
 
 
 def test_mc_f_stat_columns(capsys):
@@ -276,6 +276,33 @@ def test_edge_keeps_rows_after_a_refused_one(capsys):
     exact = oracle_f(kind, gaussian_profile(kind), 2, *edge_points(2, -1.0, -3.0))
     got = second["sign"] * 10.0 ** second["log10_f"]
     assert abs(got - exact) <= 1e-10 * abs(exact)
+
+
+def test_mc_keeps_rows_after_an_exact_zero_reference(capsys):
+    # f_1(1, -1) is exactly 0, so the N = 1 ratio has no reference; its
+    # row is flagged and the N = 3 row is still printed.
+    code, out, err = run(
+        capsys,
+        ["mc", "--n-list", "1,3", "--mu", "1", "--nu", "-1", "--samples", "1000",
+         "--format", "json", "--deterministic"],
+    )
+    assert code == 2
+    assert err.startswith("wigcorr: row N = 1 refused: oracle reference is exactly zero")
+    payload = json.loads(out)
+    assert payload["diagnostics"]["flagged_rows"] == [1]
+    first, second = payload["rows"]
+    assert (first["N"], first["sign"], second["N"]) == (1, 0, 3)
+    assert second["sign"] != 0 and second["condition"] < 1.0
+
+
+@pytest.mark.parametrize("command", ["edge", "bulk", "corr", "oracle", "mc"])
+@pytest.mark.parametrize("sizes", [["--n", "0"], ["--n-list=-1,5"]])
+def test_table_commands_refuse_nonpositive_sizes(command, sizes, capsys):
+    code, out, err = run(capsys, [command, *sizes])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("wigcorr: matrix sizes must be positive")
+    assert "Traceback" not in err
 
 
 def test_failed_selftest_bound_shows_its_margin(monkeypatch):

@@ -11,9 +11,10 @@ from wigcorr.exact_oracle import (
     MomentProfile,
     bstar_for,
     ensemble_alpha,
+    ensemble_variance,
     gaussian_profile,
+    law_moments,
     oracle_f,
-    rademacher_profile,
     _hermitian_pair_table,
     _perm_table,
 )
@@ -25,11 +26,17 @@ HERM = EnsembleKind.HERMITIAN
 SYM = EnsembleKind.REAL_SYMMETRIC
 
 
+def rademacher_profile(kind):
+    return law_moments("rademacher", ensemble_variance(kind))
+
+
 def test_profile_validation():
     with pytest.raises(DomainError):
         MomentProfile(-1.0, 0.0, 3.0)
     with pytest.raises(DomainError):
         MomentProfile(1.0, 0.0, 0.5)  # m4 below m2^2
+    with pytest.raises(DomainError, match="unknown entry distribution"):
+        law_moments("cauchy", 1.0)
 
 
 def test_builtin_profiles():

@@ -1,6 +1,6 @@
 """Every public top-level function and class of the package has a caller,
-every name a module imports is read, and every module-level constant is
-read.
+every name a module imports is read, every module-level constant is
+read, and every name the package exports at its top level is documented.
 
 A name counts as used when runtime code outside its own definition, a
 `bench/` file or README.md names it. Tests do not count: an export that
@@ -10,6 +10,8 @@ only its unit tests call is dead weight on the public surface.
 import ast
 import re
 from pathlib import Path
+
+import wigcorr
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wigcorr"
@@ -146,3 +148,24 @@ def test_an_unread_constant_is_caught(tmp_path):
     readme = tmp_path / "README.md"
     readme.write_text("")
     assert unread_constants(package, tmp_path / "no-bench", readme) == ["mod._LEFTOVER"]
+
+
+def undocumented_exports(readme: Path = ROOT / "README.md"):
+    """Each name in `wigcorr.__all__` that README.md does not name. The
+    package __init__ only re-exports, so the README is the caller of the
+    top-level surface."""
+    readme_text = readme.read_text()
+    return [name for name in wigcorr.__all__
+            if not re.search(rf"\b{re.escape(name)}\b", readme_text)]
+
+
+def test_every_top_level_export_is_named_in_the_readme():
+    assert undocumented_exports() == []
+
+
+def test_an_undocumented_export_is_caught(tmp_path):
+    readme = tmp_path / "README.md"
+    readme.write_text("`scaled_add` and `DomainError`, but not the rest.\n")
+    missing = undocumented_exports(readme)
+    assert "scaled_add" not in missing and "DomainError" not in missing
+    assert "scaled_mul" in missing and "__version__" in missing

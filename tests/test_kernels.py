@@ -111,7 +111,7 @@ def test_i_alpha_diagonal_matches_scalar():
     xs = np.array([-3.0, -0.5, 0.0, 1.25, 6.0])
     want = np.array([i_alpha(1.0, x, x) for x in xs])
     assert np.array_equal(i_alpha_diagonal(1.0, xs), want)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"\(30\.5, 30\.5\)"):
         i_alpha_diagonal(1.0, np.array([0.0, ARG_BOX + 0.5]))
 
 
@@ -160,6 +160,13 @@ def test_operator_step_descends_the_family():
     assert got == pytest.approx(airy_kernel(0.5, -0.5), abs=1e-8)
     got2 = operator_step(airy_kernel, 1.0, 0.2, 1e-4)
     assert got2 == pytest.approx(b_kernel(1.0, 0.2), abs=1e-6)
+
+
+def test_operator_step_exact_on_quadratics():
+    # (1/(x-y))(d_y - d_x) on x^2 y gives (x^2 - 2xy)/(x - y); the
+    # symmetric stencil is exact on quadratics.
+    got = operator_step(lambda x, y: x * x * y, 3.0, 1.0, 1e-4)
+    assert got == pytest.approx(1.5, abs=1e-9)
 
 
 def test_operator_step_bulk_link():

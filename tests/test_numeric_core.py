@@ -12,8 +12,6 @@ from wigcorr.numeric_core import (
     ZERO,
     QuadratureSpec,
     ScaledReal,
-    central_diff,
-    mixed_central_diff,
     scaled_add,
     scaled_div,
     scaled_from_log,
@@ -154,22 +152,6 @@ def test_trapezoid_nonfinite_sample_located():
     with pytest.raises(NumericalConsistencyError) as info:
         trapezoid_line(vals, spec)
     assert info.value.at == pytest.approx(0.0)
-
-
-def test_central_diff_sin():
-    got = central_diff(math.sin, 0.3, 1e-6)
-    assert got == pytest.approx(math.cos(0.3), abs=1e-9)
-    with pytest.raises(DomainError):
-        central_diff(math.sin, 0.0, 0.0)
-
-
-def test_mixed_central_diff_polynomial():
-    # (1/(x-y))(d_y - d_x) on x^2 y gives (x^2 - 2xy)/(x - y); the
-    # symmetric stencil is exact on quadratics.
-    got = mixed_central_diff(lambda x, y: x * x * y, 3.0, 1.0, 1e-4)
-    assert got == pytest.approx(1.5, abs=1e-9)
-    with pytest.raises(DomainError):
-        mixed_central_diff(lambda x, y: x * y, 1.0, 1.0, 1e-4)
 
 
 def test_one_constant():

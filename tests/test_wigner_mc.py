@@ -133,9 +133,14 @@ def test_entry_dist_validation():
     with pytest.raises(DomainError):
         EntryDist("cauchy", 1.0)
     with pytest.raises(DomainError):
-        EntryDist("gaussian", 0.7)
-    with pytest.raises(DomainError):
         EntryDist("two_point", 1.0, two_point_p=1.0)
+    for variance in (-1.0, 0.0, math.nan):
+        with pytest.raises(DomainError, match="m2"):
+            EntryDist("uniform", variance)
+    # the ensemble's variance rule is MCConfig's: a law at a variance no
+    # ensemble fixes is built, and refused by the configuration
+    with pytest.raises(DomainError, match="needs entry variance 0.5"):
+        MCConfig(HERM, EntryDist("gaussian", 0.7), 4, 1000, 0)
 
 
 def test_mc_config_validation():
