@@ -36,7 +36,6 @@ from .egf_engine import (
     edge_scaled_full,
     extract_f,
     sigma_alpha,
-    sigma_from_cross,
 )
 from .errors import DegenerateDenominatorError, DomainError, NumericalConsistencyError
 from .exact_oracle import (
@@ -56,6 +55,7 @@ from .numeric_core import (
 )
 from .selftest import run as selftest_run
 from .wigner_mc import (
+    DIST_KINDS,
     MCConfig,
     dist_for,
     estimate_f,
@@ -63,7 +63,7 @@ from .wigner_mc import (
     moments_of,
 )
 
-__all__ = ["main", "RunReport", "Row", "render_csv", "render_json"]
+__all__ = ["main", "RunReport", "render_csv", "render_json"]
 
 COLUMNS = ("N", "log10_f", "sign", "scaled", "limit", "abs_err", "condition")
 
@@ -72,62 +72,43 @@ _ENSEMBLES = {
     "symmetric": EnsembleKind.REAL_SYMMETRIC,
 }
 
-# CLI spellings of the entry laws; the sampling module writes "two_point".
-_DISTS = ("gaussian", "rademacher", "uniform", "two-point")
+# CLI spellings of the entry laws: "two-point" for "two_point".
+_DISTS = tuple(kind.replace("_", "-") for kind in DIST_KINDS)
 
 # The condition column of a refused row.
 _REFUSED_CONDITION = 1e12
 
 
 @dataclass
-class Row:
-    """One report line; columns match COLUMNS in order."""
-
-    n: int
-    log10_f: float
-    sign: int
-    scaled: float
-    limit: float
-    abs_err: float
-    condition: float
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"N": self.n, **{name: getattr(self, name) for name in COLUMNS[1:]}}
-
-
-@dataclass
 class RunReport:
-    command: str
+    """A table: report parameters, one dict per row keyed by COLUMNS,
+    diagnostics and the exit code."""
+
     params: Dict[str, object]
-    rows: List[Row]
+    rows: List[Dict[str, object]]
     diagnostics: Dict[str, object] = field(default_factory=dict)
     exit_code: int = 0
 
 
 def _row(n: int, raw: ScaledReal, scaled: float, limit: float,
-         condition: float) -> Row:
+         condition: float) -> Dict[str, object]:
     if raw.is_zero():
         log10_f, sign = 0.0, 0
     else:
         log10_f, sign = raw.log10_mag(), raw.sign
-    return Row(
-        n=int(n),
-        log10_f=float(log10_f),
-        sign=int(sign),
-        scaled=float(scaled),
-        limit=float(limit),
-        abs_err=float(abs(scaled - limit)),
-        condition=float(condition),
-    )
+    return dict(zip(COLUMNS, (
+        int(n), float(log10_f), int(sign), float(scaled), float(limit),
+        float(abs(scaled - limit)), float(condition),
+    )))
 
 
-def _table(command: str, params: Dict[str, object], sizes: Sequence[int],
+def _table(params: Dict[str, object], sizes: Sequence[int],
            limit: float, compute, diagnostics: Dict[str, object]) -> RunReport:
     """One row per size from compute(n). A row refused with a
     NumericalConsistencyError stays, flagged: sign 0, value 0, the table's
     limit and condition _REFUSED_CONDITION; the reason goes to stderr,
     exit 2."""
-    rows: List[Row] = []
+    rows: List[Dict[str, object]] = []
     flagged: List[int] = []
     for n in sizes:
         try:
@@ -138,7 +119,7 @@ def _table(command: str, params: Dict[str, object], sizes: Sequence[int],
             print(f"wigcorr: row N = {n} refused: {exc}", file=sys.stderr)
     if flagged:
         diagnostics["flagged_rows"] = flagged
-    return RunReport(command, params, rows, diagnostics, 2 if flagged else 0)
+    return RunReport(params, rows, diagnostics, 2 if flagged else 0)
 
 
 def _error_slope(ns: Sequence[int], errs: Sequence[float]) -> Optional[float]:
@@ -188,12 +169,13 @@ def cmd_edge(args) -> RunReport:
         return _row(n, raw, scaled, limit, diag.condition)
 
     params = _base_params(args, args.alpha, args.bstar, sizes)
-    report = _table("edge", params, sizes, limit, compute, {
+    report = _table(params, sizes, limit, compute, {
         "contour_radius": [default_radius(n) for n in sizes],
         "contour_points": [default_points(n) for n in sizes],
     })
-    kept = [r for r in report.rows if r.n not in report.diagnostics.get("flagged_rows", ())]
-    slope = _error_slope([r.n for r in kept], [r.abs_err for r in kept])
+    kept = [r for r in report.rows
+            if r["N"] not in report.diagnostics.get("flagged_rows", ())]
+    slope = _error_slope([r["N"] for r in kept], [r["abs_err"] for r in kept])
     if slope is not None:
         report.diagnostics["error_slope"] = slope
     return report
@@ -209,7 +191,7 @@ def cmd_bulk(args) -> RunReport:
         return _row(n, raw, scaled, limit, diag.condition)
 
     params = _base_params(args, args.alpha, args.bstar, sizes, xi=float(args.xi))
-    return _table("bulk", params, sizes, limit, compute, {"route": "recurrence"})
+    return _table(params, sizes, limit, compute, {"route": "recurrence"})
 
 
 def cmd_corr(args) -> RunReport:
@@ -221,11 +203,11 @@ def cmd_corr(args) -> RunReport:
         _, raw, diag = edge_scaled_full(args.alpha, args.bstar,
                                         args.mu, args.nu, n)
         # raw is f_n at (mu_n, nu_n), the cross term of the correlation
-        value = sigma_from_cross(raw, args.alpha, args.bstar, mu_n, nu_n, n)
+        value = sigma_alpha(args.alpha, args.bstar, mu_n, nu_n, n, f_cross=raw)
         return _row(n, raw, value, limit, diag.condition)
 
     params = _base_params(args, args.alpha, args.bstar, sizes)
-    return _table("corr", params, sizes, limit, compute, {
+    return _table(params, sizes, limit, compute, {
         "contour_points": [default_points(n) for n in sizes],
     })
 
@@ -263,7 +245,7 @@ def cmd_oracle(args) -> RunReport:
         moments={"m2": moments.m2, "m3": moments.m3, "m4": moments.m4},
     )
     # Each row's limit is its own extraction, so a refused row reads 0.
-    return _table("oracle", params, sizes, 0.0, compute, {})
+    return _table(params, sizes, 0.0, compute, {})
 
 
 def cmd_kernel(args) -> RunReport:
@@ -275,8 +257,7 @@ def cmd_kernel(args) -> RunReport:
         "quadrature_halfwidth": DEFAULT_LINE_QUAD.truncation_halfwidth,
         "quadrature_points": DEFAULT_LINE_QUAD.point_count,
     }
-    return RunReport("kernel", _base_params(args, args.alpha, None),
-                     rows, diagnostics)
+    return RunReport(_base_params(args, args.alpha, None), rows, diagnostics)
 
 
 def _mc_reference(kind: EnsembleKind, moments, alpha: float, bstar: float,
@@ -329,7 +310,7 @@ def cmd_mc(args) -> RunReport:
         stat=args.stat,
     )
     # --stat sigma rows each have their own reference: a refused one reads 0.
-    return _table("mc", params, sizes, 1.0 if args.stat == "f" else 0.0,
+    return _table(params, sizes, 1.0 if args.stat == "f" else 0.0,
                   compute, {"comparison": compare})
 
 
@@ -354,15 +335,14 @@ def _csv_cell(value: object) -> str:
 def render_csv(report: RunReport) -> str:
     lines = [",".join(COLUMNS)]
     for row in report.rows:
-        cells = row.as_dict()
-        lines.append(",".join(_csv_cell(cells[name]) for name in COLUMNS))
+        lines.append(",".join(_csv_cell(row[name]) for name in COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def render_json(report: RunReport) -> str:
     payload = {
         "params": report.params,
-        "rows": [row.as_dict() for row in report.rows],
+        "rows": report.rows,
         "diagnostics": report.diagnostics,
         "version": __version__,
     }

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import CancellationError, DomainError, check_finite, check_order
-from .numeric_core import ONE, ScaledReal, scaled_from_log
+from .numeric_core import ScaledReal, scaled_from_log
 from .special_fn import sigma_from_moments
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "edge_scaled_full",
     "bulk_scaled_full",
     "sigma_alpha",
-    "sigma_from_cross",
 ]
 
 MAX_ABS_Z = 0.9999
@@ -98,14 +97,12 @@ class EgfParams:
 
 
 def default_radius(n: int) -> float:
-    if n == 0:
-        return MIN_RADIUS
+    check_order(n, 1, MP_MAX_N, "coefficient order")
     return min(MAX_ABS_Z, max(MIN_RADIUS, 1.0 - n ** (-1.0 / 3.0)))
 
 
 def default_points(n: int) -> int:
-    if n == 0:
-        return 2048
+    check_order(n, 1, MP_MAX_N, "coefficient order")
     return max(2048, 512 * math.ceil(n ** (1.0 / 3.0)))
 
 
@@ -121,10 +118,10 @@ class ContourJob:
     points: int = field(init=False)
 
     def __post_init__(self):
-        check_order(self.n, 0, MP_MAX_N, "coefficient order")
+        # default_points checks the order
+        object.__setattr__(self, "points", default_points(self.n))
         if not (0.0 < self.radius <= MAX_ABS_Z):
             raise DomainError(f"radius {self.radius} outside (0, {MAX_ABS_Z}]")
-        object.__setattr__(self, "points", default_points(self.n))
 
     @classmethod
     def with_defaults(cls, params: EgfParams, n: int,
@@ -150,6 +147,7 @@ def rho(xi: float) -> float:
 def edge_lognorm(alpha: float, n: int, mu: float, nu: float) -> float:
     """Natural log of the edge normalizer."""
     check_order(n, 1, EDGE_MAX_N, "edge order n =")
+    check_finite("edge normalizer arguments alpha, mu, nu", alpha, mu, nu)
     return (0.5 * math.log(2.0 * math.pi) + float(gammaln(n + 1))
             + (2.0 * alpha - 1.0) / 6.0 * math.log(n)
             + 2.0 * n + (mu + nu) * n ** (1.0 / 3.0))
@@ -163,17 +161,14 @@ def _circle(radius: float, points: int):
 
 @functools.lru_cache(maxsize=8)
 def _circle_logs(radius: float, points: int) -> np.ndarray:
-    """`_disc_logs` of the circle of `_circle`, shared by its extractions.
-    The radius is a ContourJob's, so it is at most MAX_ABS_Z."""
-    return _disc_logs(_circle(radius, points)[1])
-
-
-def _disc_logs(z: np.ndarray) -> np.ndarray:
-    """Read-only (2, len(z)) array of Log(1 - z) and Log(1 + z), |z| < 1;
-    both are principal, since Re(1 +- z) > 0 inside the unit disc."""
+    """Read-only (2, points) array of Log(1 - z) and Log(1 + z) on the
+    circle of `_circle`, shared by its extractions. The radius is a
+    ContourJob's, at most MAX_ABS_Z, so both logs are principal:
+    Re(1 +- z) > 0 inside the unit disc."""
+    z = _circle(radius, points)[1]
     # Anonymous pages, not the malloc heap: there a long-lived array pins
     # the freed temporaries around it (about 2 MB more peak RSS at n = 10^6).
-    logs = np.frombuffer(mmap.mmap(-1, 32 * len(z)), dtype=complex).reshape(2, -1)
+    logs = np.frombuffer(mmap.mmap(-1, 32 * points), dtype=complex).reshape(2, -1)
     np.subtract(1.0, z, out=logs[0])
     np.add(1.0, z, out=logs[1])
     np.log(logs, out=logs)
@@ -183,7 +178,7 @@ def _disc_logs(z: np.ndarray) -> np.ndarray:
 
 def _log_egf(params: EgfParams, z: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """Principal-branch log of the generating function at the complex
-    points z, given their `_disc_logs`:
+    points z, given their `_circle_logs`:
 
     log EGF = mu nu z/(1-z^2) - (mu^2+nu^2)/2 * z^2/(1-z^2) + bstar z^2
               - (alpha + 1/2) Log(1-z) - (1/2) Log(1+z),
@@ -228,8 +223,6 @@ def extract_f(job: ContourJob):
     gains. Every value is bit for bit that of an uncached evaluation.
     """
     params = job.params
-    if job.n == 0:
-        return ONE, SaddleData(1.0)
     logs = _circle_logs(job.radius, job.points)
     t, z = _circle(job.radius, job.points)
     expo = _log_egf(params, z, logs)
@@ -243,7 +236,7 @@ def extract_f(job: ContourJob):
     # is the cancellation suffered by the average.
     if (mag == 0.0 or 1.0 / mag > MP_CONDITION_AT
             or abs(mean.imag) > IMAG_RESIDUE_TOL * mag):
-        value, log_c, _ = _recurrence_value(params, job.n, job)
+        value, log_c, _ = _recurrence_value(params, job.n)
         condition = max(1.0, math.exp(min(shift - log_c, 709.0)))
         return value, SaddleData(condition)
     condition = max(1.0, 1.0 / abs(mean.real))
@@ -297,16 +290,15 @@ def _recurrence_f(params: EgfParams, n: int):
         return (1 if total > 0 else -1), float(abs(window[0]).ln()), error
 
 
-def _recurrence_value(params: EgfParams, n: int, at):
+def _recurrence_value(params: EgfParams, n: int):
     """f_n = n! c_n from `_recurrence_f` as a ScaledReal, with log |c_n|
-    and the error estimate; a CancellationError naming `at` refuses an
-    estimate above _RECURRENCE_TOL."""
+    and the error estimate; a CancellationError naming n and params
+    refuses an estimate above _RECURRENCE_TOL."""
     sign, log_c, error = _recurrence_f(params, n)
     if not error <= _RECURRENCE_TOL:
         raise CancellationError(
             f"recurrence error estimate {error:.3e} above "
-            f"{_RECURRENCE_TOL:.0e} at n = {n}",
-            at=at,
+            f"{_RECURRENCE_TOL:.0e} at n = {n}, {params}"
         )
     return scaled_from_log(sign, float(gammaln(n + 1)) + log_c), log_c, error
 
@@ -356,7 +348,7 @@ def bulk_scaled_full(alpha: float, bstar: float, xi: float, mu: float,
     mu_n = root * xi + mu / (root * rho_xi)
     nu_n = root * xi + nu / (root * rho_xi)
     params = EgfParams(alpha, bstar, mu_n, nu_n)
-    value, _, error = _recurrence_value(params, n, params)
+    value, _, error = _recurrence_value(params, n)
     n_pow, rho_pow = (0.5, 1.0) if alpha == 1.0 else (1.5, 3.0)
     lognorm = (0.5 * math.log(2.0 * math.pi) + float(gammaln(n + 1))
                + n_pow * math.log(n) + rho_pow * math.log(rho_xi)
@@ -365,41 +357,26 @@ def bulk_scaled_full(alpha: float, bstar: float, xi: float, mu: float,
     return scaled, value, SaddleData(error / ((n + 1) * _RECURRENCE_UNIT))
 
 
-def _extract_at(alpha: float, bstar: float, mu: float, nu: float, n: int) -> ScaledReal:
-    job = ContourJob.with_defaults(EgfParams(alpha, bstar, mu, nu), n)
-    value, _ = extract_f(job)
-    return value
-
-
-def _sigma(alpha: float, bstar: float, mu_pt: float, nu_pt: float, n: int,
-           f_cross: Optional[ScaledReal]) -> float:
-    """sigma_alpha, extracting f_cross if it is None. At n = 0 both
-    polynomials are constant; at mu_pt == nu_pt sigma is 1 by definition."""
+def sigma_alpha(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
+                n: int, f_cross: Optional[ScaledReal] = None) -> float:
+    """Correlation coefficient of the two characteristic-polynomial values,
+    from extracted second moments (see special_fn.sigma_from_moments).
+    Evaluation points are raw arguments; callers studying edge behaviour
+    pass edge-scaled points themselves. A caller that already holds
+    f_cross = f_n(mu_pt, nu_pt) passes it, and it is not extracted again.
+    At mu_pt == nu_pt sigma is 1 by definition, after the argument checks.
+    """
     EgfParams(alpha, bstar, mu_pt, nu_pt)
     check_order(n, 1, EDGE_MAX_N, "correlation order n =")
     if mu_pt == nu_pt:
         return 1.0
+
+    def f_at(mu: float, nu: float) -> ScaledReal:
+        return extract_f(ContourJob.with_defaults(EgfParams(alpha, bstar, mu, nu), n))[0]
+
     if f_cross is None:
-        f_cross = _extract_at(alpha, bstar, mu_pt, nu_pt, n)
-    f_mumu = _extract_at(alpha, bstar, mu_pt, mu_pt, n)
-    f_nunu = _extract_at(alpha, bstar, nu_pt, nu_pt, n)
+        f_cross = f_at(mu_pt, nu_pt)
     return sigma_from_moments(
-        n, mu_pt, nu_pt, f_cross, f_mumu, f_nunu,
+        n, mu_pt, nu_pt, f_cross, f_at(mu_pt, mu_pt), f_at(nu_pt, nu_pt),
         f"nonpositive variance factor at n = {n}, points ({mu_pt}, {nu_pt})",
     )
-
-
-def sigma_alpha(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
-                n: int) -> float:
-    """Correlation coefficient of the two characteristic-polynomial values,
-    from extracted second moments (see special_fn.sigma_from_moments).
-    Evaluation points are raw arguments; callers studying edge behaviour
-    pass edge-scaled points themselves.
-    """
-    return _sigma(alpha, bstar, mu_pt, nu_pt, n, None)
-
-
-def sigma_from_cross(f_cross: ScaledReal, alpha: float, bstar: float,
-                     mu_pt: float, nu_pt: float, n: int) -> float:
-    """sigma_alpha for a caller that already holds f_cross = f_n(mu_pt, nu_pt)."""
-    return _sigma(alpha, bstar, mu_pt, nu_pt, n, f_cross)

@@ -34,11 +34,8 @@ def check_finite(what: str, *values) -> None:
 
 
 class NumericalConsistencyError(RuntimeError):
-    """An internal cross-check failed (imaginary residue, non-finite sample)."""
-
-    def __init__(self, message, *, at=None):
-        super().__init__(message)
-        self.at = at
+    """An internal cross-check failed (imaginary residue, non-finite sample);
+    the message names the point."""
 
 
 class CancellationError(NumericalConsistencyError):

@@ -69,7 +69,10 @@ class MomentProfile:
 def law_moments(law: str, m2: float, p: float = 0.5) -> MomentProfile:
     """Moments of a centred entry law at variance m2, one row per law:
     "gaussian", "uniform", and "two_point", which puts mass p on its
-    positive atom. "rademacher" is the two-point law at p = 1/2."""
+    positive atom. "rademacher" is the two-point law at p = 1/2. A p
+    outside (0, 1) is refused whatever the law."""
+    if not (0.0 < p < 1.0):
+        raise DomainError(f"two_point_p must be in (0, 1), got {p}")
     if law == "gaussian":
         return MomentProfile(m2, 0.0, 3.0 * m2 * m2)
     if law == "uniform":
@@ -116,21 +119,11 @@ def ensemble_variance(kind: EnsembleKind) -> float:
 
 
 @lru_cache(maxsize=8)
-def _perm_table(n: int):
-    """All permutations of range(n) as an array plus their signatures."""
-    perms = list(itertools.permutations(range(n)))
-    table = np.array(perms, dtype=np.int64)
-    signs = np.empty(len(perms))
-    for idx, p in enumerate(perms):
-        inv = sum(1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b])
-        signs[idx] = -1.0 if inv % 2 else 1.0
-    return table, signs
-
-
-@lru_cache(maxsize=8)
 def _perm_codes(n: int):
-    """Per-position state codes of every permutation, for `oracle_f`.
+    """Signatures and per-position state codes of every permutation of
+    range(n), for `oracle_f`.
 
+    `signs` holds each permutation's signature as +-1.0.
     `fixed[i]` is true where the permutation fixes i. `pairs[k]` is
     3*[p(i) = j] + [p(j) = i] for the k-th pair i < j in lexicographic
     order. Codes add over the two permutations of a pair, so
@@ -138,11 +131,16 @@ def _perm_codes(n: int):
     `pairs_s + pairs_t` = 3*k1 + k2 indexes the flattened 3 x 3 table of
     the moment E[x^k1 conj(x)^k2].
     """
-    table, _ = _perm_table(n)
+    perms = list(itertools.permutations(range(n)))
+    table = np.array(perms, dtype=np.int64)
+    signs = np.empty(len(perms))
+    for idx, p in enumerate(perms):
+        inv = sum(1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b])
+        signs[idx] = -1.0 if inv % 2 else 1.0
     fixed = [table[:, i] == i for i in range(n)]
     pairs = [3 * (table[:, i] == j) + (table[:, j] == i)
              for i in range(n) for j in range(i + 1, n)]
-    return fixed, pairs
+    return signs, fixed, pairs
 
 
 def _hermitian_pair_table(m2: float, m3: float, m4: float) -> np.ndarray:
@@ -176,8 +174,7 @@ def oracle_f(kind: EnsembleKind, moments: MomentProfile, n: int,
     check_finite("oracle_f points", mu, nu)
     _check_profile(kind, moments)
     m2, m3, m4 = moments.m2, moments.m3, moments.m4
-    _, signs = _perm_table(n)
-    fixed, pairs = _perm_codes(n)
+    signs, fixed, pairs = _perm_codes(n)
     if kind == EnsembleKind.HERMITIAN:
         ptab = _hermitian_pair_table(m2, m3, m4).ravel()
     else:

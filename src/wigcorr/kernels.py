@@ -144,10 +144,9 @@ def _line_power(quad: QuadratureSpec, alpha: float) -> np.ndarray:
     return power
 
 
-def _line_value(alpha: float, mu: float, nu: float, quad: QuadratureSpec,
-                name: str, at) -> float:
+def _line_value(alpha: float, mu: float, nu: float, quad: QuadratureSpec) -> float:
     """i_alpha for checked arguments; an imaginary residue above IMAG_TOL
-    (absolute at unit scale, relative above it) raises naming `at`."""
+    (absolute at unit scale, relative above it) raises naming the point."""
     s = 0.5 * (mu + nu)
     q = 0.25 * (mu - nu) ** 2
     w, cubic = _line_nodes(quad)
@@ -156,7 +155,8 @@ def _line_value(alpha: float, mu: float, nu: float, quad: QuadratureSpec,
     val /= 4.0 * math.pi ** 1.5
     if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
         raise NumericalConsistencyError(
-            f"{name} imaginary residue {val.imag:.3e} exceeds tolerance", at=at)
+            f"i_alpha({alpha}, {mu}, {nu}) imaginary residue {val.imag:.3e} "
+            f"exceeds tolerance")
     return val.real
 
 
@@ -172,20 +172,19 @@ def i_alpha(alpha: float, mu: float, nu: float,
     """
     _check_alpha(alpha)
     _check_box(mu, nu, "i_alpha")
-    return _line_value(alpha, mu, nu, quad, "i_alpha", (alpha, mu, nu))
+    return _line_value(alpha, mu, nu, quad)
 
 
 def i_alpha_diagonal(alpha: float, xs: np.ndarray) -> np.ndarray:
     """i_alpha(alpha, x, x) over an array of diagonal points, bit for bit.
     All points are box-checked first, a refusal naming the point; an
-    imaginary residue names the (alpha, x) of the first point that leaves one."""
+    imaginary residue names the first point that leaves one."""
     _check_alpha(alpha)
     xs = np.asarray(xs, dtype=float)
     points = xs.ravel().tolist()
     for x in points:
         _check_box(x, x, "i_alpha_diagonal")
-    vals = [_line_value(alpha, x, x, DEFAULT_LINE_QUAD, "i_alpha_diagonal", (alpha, x))
-            for x in points]
+    vals = [_line_value(alpha, x, x, DEFAULT_LINE_QUAD) for x in points]
     return np.array(vals, dtype=float).reshape(xs.shape)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalConsistencyError, check_finite
+from .errors import DomainError, NumericalConsistencyError, check_finite, check_order
 
 __all__ = [
     "ScaledReal",
@@ -128,10 +128,10 @@ class QuadratureSpec:
     point_count: int
 
     def __post_init__(self):
+        check_finite("truncation_halfwidth", self.truncation_halfwidth)
         if not (self.truncation_halfwidth > 0):
             raise DomainError("truncation_halfwidth must be positive")
-        if self.point_count < 64:
-            raise DomainError("point_count must be at least 64")
+        check_order(self.point_count, 64, math.inf, "point_count")
 
     def nodes(self) -> np.ndarray:
         return np.linspace(
@@ -146,13 +146,10 @@ DEFAULT_LINE_QUAD = QuadratureSpec(truncation_halfwidth=20.0, point_count=4000)
 def trapezoid_line(vals: np.ndarray, spec: QuadratureSpec) -> complex:
     """Trapezoid approximation of an integral over [-U, U] from its
     samples on the nodes of the rule. Every sample must be finite."""
-    finite = np.isfinite(vals.real) & np.isfinite(vals.imag) if np.iscomplexobj(vals) \
-        else np.isfinite(vals)
+    finite = np.isfinite(vals)
     if not finite.all():
-        bad = spec.nodes()[~finite][0]
-        raise NumericalConsistencyError(
-            f"non-finite integrand sample at u = {bad!r}", at=float(bad)
-        )
+        bad = float(spec.nodes()[~finite][0])
+        raise NumericalConsistencyError(f"non-finite integrand sample at u = {bad!r}")
     h = 2.0 * spec.truncation_halfwidth / (spec.point_count - 1)
     total = vals.sum() - 0.5 * (vals[0] + vals[-1])
     return complex(total * h)

@@ -80,11 +80,9 @@ class EntryDist:
     two_point_p: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in DIST_KINDS:
-            raise DomainError(f"unknown entry distribution {self.kind!r}")
-        if not (0.0 < self.two_point_p < 1.0):
-            raise DomainError(f"two_point_p must be in (0, 1), got {self.two_point_p}")
-        moments_of(self)  # MomentProfile refuses a variance not positive and finite
+        # law_moments refuses an unknown law and p outside (0, 1), and
+        # MomentProfile a variance not positive and finite
+        moments_of(self)
 
     def raw_sampler(self, rng: Generator):
         """rng's sampler of the raw variates the law maps to entries:

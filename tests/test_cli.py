@@ -199,9 +199,7 @@ def test_corr_extracts_each_coefficient_once(monkeypatch, capsys):
 
 def test_bulk_flagged_rows(monkeypatch, capsys):
     def refuse(alpha, bstar, xi, mu, nu, n):
-        raise CancellationError(
-            "forced refusal", at=SaddleData(5e12)
-        )
+        raise CancellationError("forced refusal")
 
     monkeypatch.setattr(cli, "bulk_scaled_full", refuse)
     code, out, _ = run(
@@ -240,7 +238,7 @@ def test_bulk_row_refused_by_the_recurrence_reads_the_condition_limit(monkeypatc
 ])
 def test_row_refusal_flags_the_row(monkeypatch, capsys, command, target, extra):
     def refuse(*args, **kwargs):
-        raise CancellationError("forced refusal", at=SaddleData(5e12))
+        raise CancellationError("forced refusal")
 
     monkeypatch.setattr(cli, target, refuse)
     code, out, _ = run(

@@ -16,7 +16,7 @@ from wigcorr.exact_oracle import (
     law_moments,
     oracle_f,
     _hermitian_pair_table,
-    _perm_table,
+    _perm_codes,
 )
 from wigcorr.numeric_core import scaled_to_real_checked
 from wigcorr.special_fn import char_poly_mean
@@ -37,6 +37,11 @@ def test_profile_validation():
         MomentProfile(1.0, 0.0, 0.5)  # m4 below m2^2
     with pytest.raises(DomainError, match="unknown entry distribution"):
         law_moments("cauchy", 1.0)
+    # a two-point law needs both atoms: p outside (0, 1) is refused, not
+    # divided by zero or passed to a negative square root
+    for p in (0.0, 1.0, 1.5, -0.2):
+        with pytest.raises(DomainError, match="two_point_p must be in"):
+            law_moments("two_point", 0.5, p)
 
 
 def test_builtin_profiles():
@@ -127,7 +132,8 @@ def _reference_oracle_f(kind, moments, n, mu, nu):
     # The per-sigma loop oracle_f ran before it was blocked, kept verbatim
     # as the bit-identity reference (realness check and bounds omitted).
     m2, m3, m4 = moments.m2, moments.m3, moments.m4
-    table, signs = _perm_table(n)
+    table = np.array(list(itertools.permutations(range(n))))
+    signs, _, _ = _perm_codes(n)
     hermitian = kind == EnsembleKind.HERMITIAN
     if hermitian:
         pair = _hermitian_pair_table(m2, m3, m4)

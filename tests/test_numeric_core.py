@@ -149,9 +149,8 @@ def test_trapezoid_nonfinite_sample_located():
     spec = QuadratureSpec(truncation_halfwidth=1.0, point_count=101)
     vals = np.ones(101)
     vals[50] = np.nan
-    with pytest.raises(NumericalConsistencyError) as info:
+    with pytest.raises(NumericalConsistencyError, match=r"at u = 0\.0$"):
         trapezoid_line(vals, spec)
-    assert info.value.at == pytest.approx(0.0)
 
 
 def test_one_constant():

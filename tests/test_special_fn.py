@@ -192,15 +192,20 @@ def test_gue_kernel_christoffel_darboux_consistency():
     assert diff == pytest.approx(extra, rel=1e-12)
 
 
-# The two plug-in correlation formulas that egf_engine.sigma_from_cross
-# and wigner_mc._sigma_from_arrays each carried before they shared
+def _extract(alpha, bstar, mu, nu, n):
+    job = egf_engine.ContourJob.with_defaults(egf_engine.EgfParams(alpha, bstar, mu, nu), n)
+    return egf_engine.extract_f(job)[0]
+
+
+# The two plug-in correlation formulas that egf_engine's sigma and
+# wigner_mc._sigma_from_arrays each carried before they shared
 # sigma_from_moments, kept verbatim as the bit-identity reference.
 def _reference_sigma_from_cross(f_cross, alpha, bstar, mu_pt, nu_pt, n):
     if mu_pt == nu_pt:
         # Definitionally the numerator equals either variance factor.
         return 1.0
-    f_mumu = egf_engine._extract_at(alpha, bstar, mu_pt, mu_pt, n)
-    f_nunu = egf_engine._extract_at(alpha, bstar, nu_pt, nu_pt, n)
+    f_mumu = _extract(alpha, bstar, mu_pt, mu_pt, n)
+    f_nunu = _extract(alpha, bstar, nu_pt, nu_pt, n)
     g_mu = char_poly_mean(n, mu_pt)
     g_nu = char_poly_mean(n, nu_pt)
     numer = scaled_add(f_cross, scaled_neg(scaled_mul(g_mu, g_nu)))
@@ -273,10 +278,10 @@ def _reference_sigma_detail(cfg):
     (2.0, 0.0, 2.5, -2.5, 64),
 ])
 def test_sigma_alpha_bit_identical_to_reference(alpha, bstar, mu, nu, n):
-    f_cross = egf_engine._extract_at(alpha, bstar, mu, nu, n)
+    f_cross = _extract(alpha, bstar, mu, nu, n)
     want = _reference_sigma_from_cross(f_cross, alpha, bstar, mu, nu, n)
     assert egf_engine.sigma_alpha(alpha, bstar, mu, nu, n) == want
-    assert egf_engine.sigma_from_cross(f_cross, alpha, bstar, mu, nu, n) == want
+    assert egf_engine.sigma_alpha(alpha, bstar, mu, nu, n, f_cross=f_cross) == want
 
 
 @pytest.mark.parametrize("kind", [EnsembleKind.HERMITIAN,

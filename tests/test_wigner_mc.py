@@ -130,10 +130,11 @@ def test_dist_for_variance_by_ensemble():
 
 
 def test_entry_dist_validation():
-    with pytest.raises(DomainError):
-        EntryDist("cauchy", 1.0)
-    with pytest.raises(DomainError):
-        EntryDist("two_point", 1.0, two_point_p=1.0)
+    with pytest.raises(DomainError, match="unknown entry distribution 'cauchy'"):
+        EntryDist("cauchy", 0.5)
+    for p in (0.0, 1.0):
+        with pytest.raises(DomainError, match=f"two_point_p must be in \\(0, 1\\), got {p}"):
+            EntryDist("two_point", 0.5, two_point_p=p)
     for variance in (-1.0, 0.0, math.nan):
         with pytest.raises(DomainError, match="m2"):
             EntryDist("uniform", variance)
