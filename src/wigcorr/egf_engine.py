@@ -31,8 +31,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import CancellationError, DomainError, check_finite, check_order
-from .numeric_core import ScaledReal, scaled_from_log
-from .special_fn import sigma_from_moments
+from .numeric_core import ScaledReal
+from .special_fn import char_poly_mean, sigma_from_moments
 
 __all__ = [
     "EgfParams",
@@ -240,10 +240,8 @@ def extract_f(job: ContourJob):
         condition = max(1.0, math.exp(min(shift - log_c, 709.0)))
         return value, SaddleData(condition)
     condition = max(1.0, 1.0 / abs(mean.real))
-    value = scaled_from_log(
-        1 if mean.real > 0 else -1,
-        float(gammaln(job.n + 1)) + shift + math.log(abs(mean.real)),
-    )
+    value = ScaledReal(1 if mean.real > 0 else -1,
+                       float(gammaln(job.n + 1)) + shift + math.log(abs(mean.real)))
     return value, SaddleData(condition)
 
 
@@ -300,7 +298,7 @@ def _recurrence_value(params: EgfParams, n: int):
             f"recurrence error estimate {error:.3e} above "
             f"{_RECURRENCE_TOL:.0e} at n = {n}, {params}"
         )
-    return scaled_from_log(sign, float(gammaln(n + 1)) + log_c), log_c, error
+    return ScaledReal(sign, float(gammaln(n + 1)) + log_c), log_c, error
 
 
 def edge_points(n: int, mu: float, nu: float):
@@ -318,7 +316,7 @@ def edge_scaled_full(alpha: float, bstar: float, mu: float, nu: float, n: int):
     job = ContourJob.with_defaults(EgfParams(alpha, bstar, mu_n, nu_n), n)
     value, diag = extract_f(job)
     lognorm = edge_lognorm(alpha, n, mu, nu)
-    scaled = 0.0 if value.sign == 0 else value.sign * math.exp(value.log_mag - lognorm)
+    scaled = value.sign * math.exp(value.log_mag - lognorm)
     return scaled, value, diag
 
 
@@ -377,6 +375,7 @@ def sigma_alpha(alpha: float, bstar: float, mu_pt: float, nu_pt: float,
     if f_cross is None:
         f_cross = f_at(mu_pt, nu_pt)
     return sigma_from_moments(
-        n, mu_pt, nu_pt, f_cross, f_at(mu_pt, mu_pt), f_at(nu_pt, nu_pt),
+        f_cross, f_at(mu_pt, mu_pt), f_at(nu_pt, nu_pt),
+        char_poly_mean(n, mu_pt), char_poly_mean(n, nu_pt),
         f"nonpositive variance factor at n = {n}, points ({mu_pt}, {nu_pt})",
     )

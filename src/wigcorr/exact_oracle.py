@@ -28,6 +28,7 @@ __all__ = [
     "bstar_for",
     "ensemble_alpha",
     "ensemble_variance",
+    "check_profile",
     "oracle_f",
 ]
 
@@ -37,6 +38,11 @@ ORACLE_F_MAX_N = 6
 _ORACLE_BLOCK_ROWS = 60
 
 _M2_TOL = 1e-12
+
+
+def _check_m2(m2: float) -> None:
+    if m2 <= 0.0:  # NaN passes, for MomentProfile's finiteness check to name
+        raise DomainError(f"m2 must be positive, got {m2}")
 
 
 class EnsembleKind(str, Enum):
@@ -58,8 +64,7 @@ class MomentProfile:
 
     def __post_init__(self):
         check_finite("moments m2, m3, m4", self.m2, self.m3, self.m4)
-        if not (self.m2 > 0.0):
-            raise DomainError(f"m2 must be positive, got {self.m2}")
+        _check_m2(self.m2)
         if self.m4 < self.m2 ** 2 - 1e-12:
             raise DomainError(
                 f"m4 = {self.m4} violates m4 >= m2^2 = {self.m2 ** 2}"
@@ -81,6 +86,7 @@ def law_moments(law: str, m2: float, p: float = 0.5) -> MomentProfile:
         p = 0.5
     elif law != "two_point":
         raise DomainError(f"unknown entry distribution {law!r}")
+    _check_m2(m2)  # before m2 ** 1.5, complex at a negative m2
     m3 = m2 ** 1.5 * (1.0 - 2.0 * p) / math.sqrt(p * (1.0 - p))
     m4 = m2 * m2 * (1.0 - 3.0 * p + 3.0 * p * p) / (p * (1.0 - p))
     return MomentProfile(m2, m3, m4)
@@ -91,7 +97,8 @@ def gaussian_profile(kind: EnsembleKind) -> MomentProfile:
     return law_moments("gaussian", ensemble_variance(kind))
 
 
-def _check_profile(kind: EnsembleKind, moments: MomentProfile) -> None:
+def check_profile(kind: EnsembleKind, moments: MomentProfile) -> None:
+    """Refuse moments whose m2 is not the variance the ensemble fixes."""
     want = ensemble_variance(kind)
     if abs(moments.m2 - want) > _M2_TOL:
         raise DomainError(
@@ -101,7 +108,7 @@ def _check_profile(kind: EnsembleKind, moments: MomentProfile) -> None:
 
 def bstar_for(kind: EnsembleKind, moments: MomentProfile) -> float:
     """Fourth-moment shift entering the generating function's exp(b* z^2)."""
-    _check_profile(kind, moments)
+    check_profile(kind, moments)
     if kind == EnsembleKind.HERMITIAN:
         return moments.m4 - 0.75
     return (moments.m4 - 3.0) / 2.0
@@ -172,7 +179,7 @@ def oracle_f(kind: EnsembleKind, moments: MomentProfile, n: int,
     """
     check_order(n, 1, ORACLE_F_MAX_N, "oracle_f order")
     check_finite("oracle_f points", mu, nu)
-    _check_profile(kind, moments)
+    check_profile(kind, moments)
     m2, m3, m4 = moments.m2, moments.m3, moments.m4
     signs, fixed, pairs = _perm_codes(n)
     if kind == EnsembleKind.HERMITIAN:

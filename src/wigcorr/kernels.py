@@ -97,8 +97,6 @@ def airy_kernel(mu: float, nu: float) -> float:
     """
     _check_box(mu, nu, "airy_kernel")
     d = mu - nu
-    if d == 0.0:
-        return _airy_kernel_diag(mu)
     if abs(d) < AIRY_MIDPOINT_AT:
         return _airy_kernel_diag(0.5 * (mu + nu))
     pm, pn = airy(mu), airy(nu)
@@ -201,9 +199,9 @@ def airy_product(x: float, y: float) -> float:
 def edge_kernel(alpha: float, mu: float, nu: float):
     """Edge limit kernel of order alpha and the route that gave it: the
     closed form at orders 0, 1 and 2, else the defining line integral.
-    Order 0 is the Airy product, i_alpha(0, mu, nu) bit for bit."""
+    Order 0 is the product Ai(mu) Ai(nu) of library Airy values."""
     if alpha == 0.0:
-        return airy_product(mu, nu), "airy-product"
+        return airy(mu).ai * airy(nu).ai, "airy-product"
     if alpha == 1.0:
         return airy_kernel(mu, nu), "airy-kernel"
     if alpha == 2.0:

@@ -66,13 +66,6 @@ def scaled_from_real(x: float) -> ScaledReal:
     return ScaledReal(1 if x > 0 else -1, math.log(abs(x)))
 
 
-def scaled_from_log(sign: int, log_mag: float) -> ScaledReal:
-    """Build a ScaledReal from precomputed sign and log magnitude."""
-    if sign == 0:
-        return ZERO
-    return ScaledReal(1 if sign > 0 else -1, log_mag)
-
-
 def scaled_to_real_checked(x: ScaledReal) -> float:
     if x.sign == 0:
         return 0.0

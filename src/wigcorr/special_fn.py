@@ -27,7 +27,6 @@ from .numeric_core import (
     ZERO,
     ScaledReal,
     scaled_add,
-    scaled_from_log,
     scaled_mul,
     scaled_neg,
     trapezoid_line,
@@ -135,7 +134,7 @@ def hermite_phys(n: int, x: float) -> ScaledReal:
         raise DomainError(f"hermite_phys({n}, {x!r}) overflows double range")
     if h_cur == 0.0:
         return ZERO
-    return scaled_from_log(1 if h_cur > 0 else -1, math.log(abs(h_cur)) + scale)
+    return ScaledReal(1 if h_cur > 0 else -1, math.log(abs(h_cur)) + scale)
 
 
 def char_poly_mean(n: int, lam: float) -> ScaledReal:
@@ -148,16 +147,13 @@ def char_poly_mean(n: int, lam: float) -> ScaledReal:
     return ScaledReal(sign, h.log_mag - 0.5 * n * math.log(2.0))
 
 
-def sigma_from_moments(n: int, mu: float, nu: float, f_cross: ScaledReal,
-                       f_mumu: ScaledReal, f_nunu: ScaledReal,
-                       degenerate: str) -> float:
+def sigma_from_moments(f_cross: ScaledReal, f_mumu: ScaledReal, f_nunu: ScaledReal,
+                       g_mu: ScaledReal, g_nu: ScaledReal, degenerate: str) -> float:
     """Correlation coefficient (f_cross - g_mu g_nu) / sqrt((f_mumu -
     g_mu^2)(f_nunu - g_nu^2)) of det(X - mu) and det(X - nu), from the
-    scaled second moments f_n and the exact mean polynomial g, with the
-    differences formed by scaled addition. A variance factor that is not
-    positive raises DegenerateDenominatorError(degenerate)."""
-    g_mu = char_poly_mean(n, mu)
-    g_nu = char_poly_mean(n, nu)
+    scaled second moments f_n and the mean polynomials g = char_poly_mean,
+    with the differences formed by scaled addition. A variance factor
+    that is not positive raises DegenerateDenominatorError(degenerate)."""
     numer = scaled_add(f_cross, scaled_neg(scaled_mul(g_mu, g_nu)))
     var_mu = scaled_add(f_mumu, scaled_neg(scaled_mul(g_mu, g_mu)))
     var_nu = scaled_add(f_nunu, scaled_neg(scaled_mul(g_nu, g_nu)))
@@ -186,12 +182,10 @@ def gue_kernel(n: int, x: float, y: float) -> ScaledReal:
     ks = np.arange(n)
     term_logs = lx + ly - ks * math.log(2.0) - gammaln(ks + 1) - 0.5 * math.log(2.0 * math.pi)
     term_signs = sx * sy
-    live = term_signs != 0.0
-    if not live.any():
-        return ZERO
+    live = term_signs != 0.0  # the k = 0 term, 1 * 1, is always live
     shift = term_logs[live].max()
     total = float((term_signs[live] * np.exp(term_logs[live] - shift)).sum())
     if total == 0.0:
         return ZERO
     log_mag = shift + math.log(abs(total)) - (x * x + y * y) / 4.0
-    return scaled_from_log(1 if total > 0 else -1, log_mag)
+    return ScaledReal(1 if total > 0 else -1, log_mag)

@@ -36,9 +36,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DomainError, NumericalConsistencyError, check_finite, check_order
-from .exact_oracle import EnsembleKind, MomentProfile, ensemble_variance, law_moments
-from .numeric_core import ZERO, ScaledReal, scaled_from_log
-from .special_fn import sigma_from_moments
+from .exact_oracle import (EnsembleKind, MomentProfile, check_profile, ensemble_variance,
+                           law_moments)
+from .numeric_core import ZERO, ScaledReal
+from .special_fn import char_poly_mean, sigma_from_moments
 
 __all__ = [
     "EntryDist",
@@ -142,12 +143,7 @@ class MCConfig:
         check_order(self.n, 1, MC_MAX_N, "matrix size n =")
         check_order(self.samples, MC_MIN_SAMPLES, math.inf, "sample count")
         check_order(self.seed, 0, SEED_LIMIT - 1, "seed")
-        want = ensemble_variance(self.ensemble)
-        if self.dist.target_variance != want:
-            raise DomainError(
-                f"{self.ensemble.value} ensemble needs entry variance {want}, "
-                f"distribution has {self.dist.target_variance}"
-            )
+        check_profile(self.ensemble, moments_of(self.dist))
         for pt in self.points:
             if len(pt) != 2:
                 raise DomainError(f"bad evaluation point {pt!r}")
@@ -273,14 +269,8 @@ def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
             with np.errstate(divide="ignore"):  # an exact eigenvalue: -inf
                 logs[rows, j] = np.log(np.abs(gaps)).sum(axis=1)
 
-    starts = range(0, samples, chunk)
-    workers = thread_count()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
-    else:
-        for start in starts:
-            run_chunk(start)
+    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
+        list(pool.map(run_chunk, range(0, samples, chunk)))
 
     if hermitian:
         worst = float(np.abs(signs.imag).max())
@@ -303,10 +293,9 @@ def _mean_scaled(pair_signs: np.ndarray, pair_logs: np.ndarray):
     vals = pair_signs * np.exp(pair_logs - shift)
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1)) / math.sqrt(count)
-    mean_scaled = ZERO if mean == 0.0 else scaled_from_log(
-        1 if mean > 0 else -1, shift + math.log(abs(mean))
-    )
-    err_scaled = ZERO if sd == 0.0 else scaled_from_log(1, shift + math.log(sd))
+    mean_scaled = ZERO if mean == 0.0 else ScaledReal(
+        1 if mean > 0 else -1, shift + math.log(abs(mean)))
+    err_scaled = ZERO if sd == 0.0 else ScaledReal(1, shift + math.log(sd))
     return mean_scaled, err_scaled
 
 
@@ -331,13 +320,13 @@ def estimate_f(cfg: MCConfig):
     return out
 
 
-def _sigma_from_arrays(signs, logs, lambdas, mu, nu, n, where):
+def _sigma_from_arrays(signs, logs, lambdas, mu, nu, means, where):
     i_mu, i_nu = lambdas.index(mu), lambdas.index(nu)
     f_cross, _ = _mean_scaled(*_pair_samples(signs, logs, i_mu, i_nu))
     f_mumu, _ = _mean_scaled(*_pair_samples(signs, logs, i_mu, i_mu))
     f_nunu, _ = _mean_scaled(*_pair_samples(signs, logs, i_nu, i_nu))
     return sigma_from_moments(
-        n, mu, nu, f_cross, f_mumu, f_nunu,
+        f_cross, f_mumu, f_nunu, *means,
         f"nonpositive variance estimate at point ({mu}, {nu}) in {where}",
     )
 
@@ -354,15 +343,16 @@ def estimate_sigma_detail(cfg: MCConfig):
     out = []
     edges = np.linspace(0, cfg.samples, batches + 1, dtype=int)
     for mu, nu in cfg.points:
+        means = char_poly_mean(cfg.n, mu), char_poly_mean(cfg.n, nu)
         value = _sigma_from_arrays(
-            signs, logs, lambdas, mu, nu, cfg.n,
+            signs, logs, lambdas, mu, nu, means,
             f"the whole sample ({cfg.samples} samples)",
         )
         batch_vals = []
         for b in range(batches):
             lo, hi = edges[b], edges[b + 1]
             batch_vals.append(_sigma_from_arrays(
-                signs[lo:hi], logs[lo:hi], lambdas, mu, nu, cfg.n,
+                signs[lo:hi], logs[lo:hi], lambdas, mu, nu, means,
                 f"batch index {b} of {batches} batches ({hi - lo} samples; "
                 f"the whole-sample estimate is {value!r})",
             ))

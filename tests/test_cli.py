@@ -38,6 +38,13 @@ def test_kernel_csv_shape(capsys):
     assert "\r" not in out
 
 
+def test_kernel_order_zero_compares_the_line_rule_with_the_closed_form(capsys):
+    # at (10, 10) the line rule gives 1.2036e-20 against Ai(10)^2 = 1.2205e-20
+    code, out, _ = run(capsys, ["kernel", "--alpha", "0", "--mu", "10", "--nu", "10"])
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[5]) > 1e-22
+
+
 def test_csv_and_json_carry_identical_numbers(capsys):
     args = ["edge", "--alpha", "1", "--n-list", "4,8", "--deterministic"]
     code, out_csv, _ = run(capsys, args + ["--format", "csv"])

@@ -44,6 +44,14 @@ def test_profile_validation():
             law_moments("two_point", 0.5, p)
 
 
+@pytest.mark.parametrize("law", ["gaussian", "uniform", "two_point", "rademacher"])
+@pytest.mark.parametrize("m2", [-1.0, 0.0])
+def test_every_law_refuses_a_variance_not_positive_by_one_rule(law, m2):
+    # the two-point row takes m2 ** 1.5, complex at a negative m2
+    with pytest.raises(DomainError, match=f"m2 must be positive, got {m2}"):
+        law_moments(law, m2)
+
+
 def test_builtin_profiles():
     assert gaussian_profile(HERM) == MomentProfile(0.5, 0.0, 0.75)
     assert gaussian_profile(SYM) == MomentProfile(1.0, 0.0, 3.0)

@@ -1,10 +1,11 @@
-"""Every public top-level function and class of the package has a caller,
+"""Every top-level function and class of the package has a caller,
 every name a module imports is read, every module-level constant is
 read, and every name the package exports at its top level is documented.
 
-A name counts as used when runtime code outside its own definition, a
-`bench/` file or README.md names it. Tests do not count: an export that
-only its unit tests call is dead weight on the public surface.
+A name counts as used when runtime code outside its own definition or a
+`bench/` file names it, or, for a public name, README.md. Tests do not
+count: an export that only its unit tests call is dead weight on the
+public surface, and a private helper only tests call is dead code.
 """
 
 import ast
@@ -25,10 +26,10 @@ ALLOWED = {
 }
 
 
-def _public_defs(tree: ast.Module):
+def _top_defs(tree: ast.Module, private: bool = False):
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")):
+                and node.name.startswith("_") == private):
             yield node
 
 
@@ -45,8 +46,11 @@ def _names_in(node: ast.AST):
                 yield alias.name
 
 
-def unused_exports(package: Path = PACKAGE, bench: Path = ROOT / "bench",
-                   readme: Path = ROOT / "README.md"):
+def uncalled_defs(package: Path, bench: Path, private: bool, readme_text: str = ""):
+    """`module.name` for each top-level public (or private) definition of
+    the package that no other top-level statement of the package or of
+    `bench/` names, that ALLOWED does not keep and `readme_text` does not
+    name."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py"))}
     # (file, owning top-level definition or None, names used) for every
@@ -57,10 +61,9 @@ def unused_exports(package: Path = PACKAGE, bench: Path = ROOT / "bench",
         for path, tree in trees.items() if path != package / "__init__.py"
         for node in tree.body
     ]
-    readme_text = readme.read_text()
     unused = []
     for path in sorted(package.glob("*.py")):
-        for node in _public_defs(trees[path]):
+        for node in _top_defs(trees[path], private):
             name = node.name
             if name in ALLOWED or re.search(rf"\b{name}\b", readme_text):
                 continue
@@ -71,13 +74,30 @@ def unused_exports(package: Path = PACKAGE, bench: Path = ROOT / "bench",
 
 
 def test_every_public_definition_has_a_caller():
-    assert unused_exports() == []
+    readme_text = (ROOT / "README.md").read_text()
+    assert uncalled_defs(PACKAGE, ROOT / "bench", False, readme_text) == []
+
+
+def test_every_private_definition_has_a_caller():
+    assert uncalled_defs(PACKAGE, ROOT / "bench", private=True) == []
+
+
+def test_an_uncalled_private_definition_is_caught(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def _used():\n    return 1\n\n\n"
+        "def _recursive(k):\n    return _recursive(k - 1)\n\n\n"
+        "class _Orphan:\n    pass\n\n\n"
+        "def public():\n    return _used()\n")
+    got = uncalled_defs(package, tmp_path / "no-bench", private=True)
+    assert got == ["mod._recursive", "mod._Orphan"]
 
 
 def test_allowlist_names_existing_definitions():
     defined = {node.name
                for path in PACKAGE.glob("*.py")
-               for node in _public_defs(ast.parse(path.read_text()))}
+               for node in _top_defs(ast.parse(path.read_text()))}
     assert set(ALLOWED) <= defined
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import airy as scipy_airy
 
 from wigcorr.errors import DomainError, NumericalConsistencyError
 from wigcorr.kernels import (
@@ -14,6 +15,7 @@ from wigcorr.kernels import (
     airy_product,
     b_kernel,
     diag_recursion_check,
+    edge_kernel,
     i_alpha,
     i_alpha_diagonal,
     operator_step,
@@ -93,6 +95,13 @@ def test_airy_product_is_pointwise_product():
     for x, y in ((0.0, 0.0), (1.2, -0.7), (-3.0, 2.0)):
         want = airy(x).ai * airy(y).ai
         assert airy_product(x, y) == pytest.approx(want, abs=1e-12)
+
+
+def test_edge_kernel_order_zero_is_the_library_airy_product():
+    # not the line rule, which reads 1.4% low at (10, 10)
+    for x, y in ((0.0, 0.0), (1.2, -0.7), (-3.0, 2.0), (10.0, 10.0), (-30.0, 30.0)):
+        want = scipy_airy(x)[0] * scipy_airy(y)[0]
+        assert edge_kernel(0.0, x, y) == (want, "airy-product")
 
 
 def test_i_alpha_symmetry_and_domain():

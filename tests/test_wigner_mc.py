@@ -16,6 +16,7 @@ from wigcorr.exact_oracle import (
     gaussian_profile,
     oracle_f,
 )
+from wigcorr.special_fn import char_poly_mean
 from wigcorr.egf_engine import sigma_alpha
 from wigcorr import wigner_mc
 from wigcorr.numeric_core import scaled_to_real_checked
@@ -140,8 +141,34 @@ def test_entry_dist_validation():
             EntryDist("uniform", variance)
     # the ensemble's variance rule is MCConfig's: a law at a variance no
     # ensemble fixes is built, and refused by the configuration
-    with pytest.raises(DomainError, match="needs entry variance 0.5"):
+    with pytest.raises(DomainError, match="hermitian ensemble requires m2 = 0.5, got 0.7"):
         MCConfig(HERM, EntryDist("gaussian", 0.7), 4, 1000, 0)
+
+
+@pytest.mark.parametrize("kind, variance", [
+    (EnsembleKind.HERMITIAN, 0.5 + 4e-13),
+    (EnsembleKind.REAL_SYMMETRIC, 1.0 - 4e-13),
+])
+def test_mc_config_takes_the_oracles_variance_rule(kind, variance):
+    near = EntryDist("gaussian", variance)
+    MCConfig(kind, near, 4, 1000, 0)
+    oracle_f(kind, moments_of(near), 2, 0.1, 0.2)
+    with pytest.raises(DomainError, match=f"{kind.value} ensemble requires m2 = "):
+        MCConfig(kind, EntryDist("gaussian", 0.7), 4, 1000, 0)
+
+
+def test_sigma_detail_computes_each_points_mean_polynomials_once(monkeypatch):
+    calls = []
+
+    def counted(n, lam):
+        calls.append((n, lam))
+        return char_poly_mean(n, lam)
+
+    monkeypatch.setattr(wigner_mc, "char_poly_mean", counted)
+    cfg = MCConfig(HERM, dist_for("gaussian", HERM), 4, 2000, 1,
+                   points=((0.3, -0.7), (1.0, 0.2)))
+    estimate_sigma_detail(cfg)
+    assert calls == [(4, 0.3), (4, -0.7), (4, 1.0), (4, 0.2)]
 
 
 def test_mc_config_validation():
