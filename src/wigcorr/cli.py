@@ -92,12 +92,9 @@ class RunReport:
 
 def _row(n: int, raw: ScaledReal, scaled: float, limit: float,
          condition: float) -> Dict[str, object]:
-    if raw.is_zero():
-        log10_f, sign = 0.0, 0
-    else:
-        log10_f, sign = raw.log10_mag(), raw.sign
     return dict(zip(COLUMNS, (
-        int(n), float(log10_f), int(sign), float(scaled), float(limit),
+        int(n), float(raw.log_mag / math.log(10.0)), int(raw.sign),
+        float(scaled), float(limit),
         float(abs(scaled - limit)), float(condition),
     )))
 
@@ -283,15 +280,13 @@ def cmd_mc(args) -> RunReport:
             reference, route = _mc_reference(
                 kind, moments, alpha, bstar, n, args.mu, args.nu
             )
-            if reference.is_zero():
+            if reference.sign == 0:
                 raise DegenerateDenominatorError(
                     f"{route} reference is exactly zero, so no ratio")
             # Values themselves overflow doubles for large n, so the
             # normalized column is the ratio to the reference route.
-            ratio = (0.0 if est.mean.is_zero() else
-                     scaled_to_real_checked(scaled_div(est.mean, reference)))
-            rel_err = (0.0 if est.stderr.is_zero() else
-                       abs(scaled_to_real_checked(scaled_div(est.stderr, reference))))
+            ratio = scaled_to_real_checked(scaled_div(est.mean, reference))
+            rel_err = abs(scaled_to_real_checked(scaled_div(est.stderr, reference)))
             compare.append({
                 "N": int(n),
                 "reference_route": route,
@@ -324,18 +319,11 @@ _HANDLERS = {
 }
 
 
-def _csv_cell(value: object) -> str:
-    # repr of a Python float is the shortest round-tripping decimal form,
-    # always with a '.' decimal point.
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_csv(report: RunReport) -> str:
+    # str of a float is its shortest round-tripping form, with a '.'.
     lines = [",".join(COLUMNS)]
     for row in report.rows:
-        lines.append(",".join(_csv_cell(row[name]) for name in COLUMNS))
+        lines.append(",".join(str(row[name]) for name in COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -547,6 +535,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 141
     except DomainError as exc:
         print(f"wigcorr: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # such as exp(bstar) at bstar = 800
+        print(f"wigcorr: a value left double range ({exc})", file=sys.stderr)
         return 3
     except NumericalConsistencyError as exc:
         print(f"wigcorr: {exc}", file=sys.stderr)

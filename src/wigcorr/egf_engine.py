@@ -98,7 +98,7 @@ class EgfParams:
 
 def default_radius(n: int) -> float:
     check_order(n, 1, MP_MAX_N, "coefficient order")
-    return min(MAX_ABS_Z, max(MIN_RADIUS, 1.0 - n ** (-1.0 / 3.0)))
+    return max(MIN_RADIUS, 1.0 - n ** (-1.0 / 3.0))
 
 
 def default_points(n: int) -> int:

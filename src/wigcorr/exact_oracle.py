@@ -10,6 +10,7 @@ n.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_order
+from .errors import DomainError, NumericalConsistencyError, check_finite, check_order
 
 __all__ = [
     "EnsembleKind",
@@ -191,17 +192,20 @@ def oracle_f(kind: EnsembleKind, moments: MomentProfile, n: int,
     dtab = np.array([1.0, -nu, -mu, 2.0 * m2 + mu * nu], dtype=complex)
 
     total = 0.0 + 0.0j
-    for start in range(0, len(signs), _ORACLE_BLOCK_ROWS):
-        rows = slice(start, start + _ORACLE_BLOCK_ROWS)
-        factor = (signs[rows, None] * signs).astype(complex)
-        for code in fixed:
-            factor *= dtab.take(2 * code[rows, None] + code)
-        for code in pairs:
-            factor *= ptab.take(code[rows, None] + code)
-        for row_sum in factor.sum(axis=1):
-            total += row_sum
-    if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
-        raise DomainError(
-            f"oracle accumulation lost realness: imag = {total.imag!r}"
-        )
+    # At a huge point inf * 0 makes a NaN total, which is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(signs), _ORACLE_BLOCK_ROWS):
+            rows = slice(start, start + _ORACLE_BLOCK_ROWS)
+            factor = (signs[rows, None] * signs).astype(complex)
+            for code in fixed:
+                factor *= dtab.take(2 * code[rows, None] + code)
+            for code in pairs:
+                factor *= ptab.take(code[rows, None] + code)
+            for row_sum in factor.sum(axis=1):
+                total += row_sum
+    if not cmath.isfinite(total):
+        raise DomainError(f"oracle_f at n = {n}, ({mu!r}, {nu!r}) leaves double range")
+    if not abs(total.imag) <= 1e-9 * max(1.0, abs(total.real)):  # NaN fails too
+        raise NumericalConsistencyError(
+            f"oracle_f at n = {n}, ({mu!r}, {nu!r}) lost realness: imag = {total.imag!r}")
     return float(total.real)

@@ -52,6 +52,8 @@ B_QUAD_AT = 1e-3
 
 IMAG_TOL = 1e-10
 
+OPERATOR_STEP = 1e-4
+
 # Gauss-Legendre nodes of diag_recursion_check's integral over y. Its
 # |lhs - rhs| stays below 1e-13 at 80 nodes (6e-13 at 64, 1e-6 at 48).
 _RECURSION_NODES = 80
@@ -228,15 +230,13 @@ def edge_correlation(alpha: float, mu: float, nu: float) -> float:
     return edge_kernel(alpha, mu, nu)[0] / math.sqrt(diag_mu * diag_nu)
 
 
-def operator_step(f: Callable[[float, float], float], mu: float, nu: float,
-                  h: float) -> float:
-    """One application of (1/(mu-nu)) (d/dnu - d/dmu) to a kernel.
+def operator_step(f: Callable[[float, float], float], mu: float, nu: float) -> float:
+    """(1/(mu-nu)) (d/dnu - d/dmu) of a kernel, by central differences.
 
     Applied once to the Airy product it yields the alpha = 1 kernel;
     applied again, alpha = 2. Same operator links the two bulk kernels.
     """
-    if not (1e-6 <= h <= 1e-2):
-        raise DomainError(f"step h = {h} outside [1e-6, 1e-2]")
+    h = OPERATOR_STEP
     if abs(mu - nu) < 10.0 * h:
         raise DomainError(
             f"arguments ({mu}, {nu}) too close for stencil with h = {h}"

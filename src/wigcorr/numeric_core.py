@@ -45,15 +45,6 @@ class ScaledReal:
         if self.sign != 0:
             check_finite("ScaledReal log_mag", self.log_mag)
 
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def log10_mag(self) -> float:
-        """Base-10 log magnitude, for reporting. Requires sign != 0."""
-        if self.sign == 0:
-            raise DomainError("log10_mag of exact zero is undefined")
-        return self.log_mag / math.log(10.0)
-
 
 ZERO = ScaledReal(0, 0.0)
 ONE = ScaledReal(1, 0.0)

@@ -188,13 +188,12 @@ def _assemble(cfg: MCConfig, draws: np.ndarray) -> np.ndarray:
     n = cfg.n
     count = draws.shape[0]
     blocks = draws[:, n:].reshape(count, -1, n, n)
-    strict_upper = np.triu(np.ones((n, n), dtype=bool), 1)
     hermitian = cfg.ensemble == EnsembleKind.HERMITIAN
     mats = np.empty((count, n, n), dtype=complex if hermitian else float)
-    upper = np.where(strict_upper, blocks[:, 0], 0.0)
+    upper = np.triu(blocks[:, 0], 1)
     np.add(upper, upper.swapaxes(1, 2), out=mats.real)
     if hermitian:
-        upper = np.where(strict_upper, blocks[:, 1], 0.0)
+        upper = np.triu(blocks[:, 1], 1)
         np.subtract(upper, upper.swapaxes(1, 2), out=mats.imag)
     diag = np.arange(n)
     mats.real[:, diag, diag] = math.sqrt(2.0) * draws[:, :n]
@@ -337,7 +336,8 @@ def estimate_sigma_detail(cfg: MCConfig):
     The exact mean polynomial replaces the sample mean inside the
     estimator; the batch-means spread quantifies sampling noise.
     """
-    batches = 20  # MC_MIN_SAMPLES gives every batch at least 5 samples
+    # A batch of 5 or 10 samples often has a nonpositive variance estimate.
+    batches = min(20, cfg.samples // 50)  # at least 50 samples each
     lambdas = _lambda_index(cfg.points)
     signs, logs = _collect_dets(cfg, lambdas)
     out = []

@@ -69,7 +69,7 @@ def test_04_airy_product_identity():
 
 def test_05_operator_chain():
     points = ((0.5, -0.5), (1.0, 0.2), (-1.5, 0.8), (2.0, -1.0), (0.0, 0.7))
-    gate("operator-chain", lambda: (selftest.operator_chain(points, 1e-4, 1e-6)
+    gate("operator-chain", lambda: (selftest.operator_chain(points, 1e-6)
                                     + selftest.closed_forms(points, 1e-9)))
 
 

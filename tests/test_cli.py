@@ -310,6 +310,25 @@ def test_table_commands_refuse_nonpositive_sizes(command, sizes, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["edge", "--n", "8", "--bstar", "800"],
+    ["bulk", "--n", "8", "--bstar", "800"],
+    ["corr", "--n", "8", "--bstar", "1e300"],
+])
+def test_arguments_that_overflow_a_double_exit_three(argv, capsys):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("wigcorr: a value left double range")
+    assert "Traceback" not in err
+
+
+def test_largest_bstar_inside_double_range_still_runs(capsys):
+    code, out, _ = run(capsys, ["edge", "--n", "8", "--bstar", "709"])
+    assert code == 0
+    assert len(out.splitlines()) == 2
+
+
 def test_failed_selftest_bound_shows_its_margin(monkeypatch):
     forced = [Margin("forced bound", 2.5, 1e-3, 0.0)]
     monkeypatch.setattr(selftest, "GROUPS", [("forced", lambda fast: forced)])

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from wigcorr.errors import DomainError
+from wigcorr import exact_oracle
+from wigcorr.errors import DomainError, NumericalConsistencyError
 from wigcorr.exact_oracle import (
     EnsembleKind,
     MomentProfile,
@@ -210,6 +211,25 @@ def test_oracle_f_bounds():
         oracle_f(HERM, prof, 0, 0.0, 0.0)
     with pytest.raises(DomainError):
         oracle_f(HERM, prof, 7, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kind", [HERM, SYM])
+def test_oracle_f_refuses_a_total_past_double_range(kind):
+    # the factors overflow to inf and inf * 0 is NaN; that used to be
+    # returned, since abs(nan) > tol is False
+    with pytest.raises(DomainError, match="leaves double range"):
+        oracle_f(kind, gaussian_profile(kind), 3, 1e150, 1.0)
+
+
+def test_oracle_f_imaginary_residue_is_a_consistency_failure(monkeypatch):
+    def lopsided(m2, m3, m4):
+        table = _hermitian_pair_table(m2, m3, m4)
+        table[1, 1] += 0.5j  # E|x|^2 is real for any law
+        return table
+
+    monkeypatch.setattr(exact_oracle, "_hermitian_pair_table", lopsided)
+    with pytest.raises(NumericalConsistencyError, match="lost realness"):
+        oracle_f(HERM, gaussian_profile(HERM), 2, 0.3, -0.7)
 
 
 def oracle_mean(kind, moments, n, lam):

@@ -57,7 +57,7 @@ def test_hermite_small_degrees():
     assert scaled_to_real_checked(hermite_phys(3, 1.0)) == pytest.approx(-4.0)
     assert scaled_to_real_checked(hermite_phys(4, 0.0)) == pytest.approx(12.0)
     # odd degree at the origin vanishes identically
-    assert hermite_phys(5, 0.0).is_zero()
+    assert hermite_phys(5, 0.0).sign == 0
 
 
 def test_hermite_parity():
@@ -122,7 +122,7 @@ def test_char_poly_mean_small_orders():
         assert got == pytest.approx(lam * lam - 1.0, abs=1e-13)
     # n = 1 gives -lam
     assert scaled_to_real_checked(char_poly_mean(1, 0.75)) == pytest.approx(-0.75)
-    assert char_poly_mean(1, 0.0).is_zero()
+    assert char_poly_mean(1, 0.0).sign == 0
 
 
 def test_char_poly_mean_leading_coefficient():
@@ -245,10 +245,12 @@ def _reference_sigma_from_arrays(signs, logs, lambdas, mu, nu, n, where):
 
 
 def _reference_sigma_detail(cfg):
-    """estimate_sigma_detail on the reference formula, 20 batches."""
+    """estimate_sigma_detail on the reference formula, in 20 batches, or
+    fewer so that each holds at least 50 samples."""
+    batches = min(20, cfg.samples // 50)
     lambdas = wigner_mc._lambda_index(cfg.points)
     signs, logs = wigner_mc._collect_dets(cfg, lambdas)
-    edges = np.linspace(0, cfg.samples, 21, dtype=int)
+    edges = np.linspace(0, cfg.samples, batches + 1, dtype=int)
     out = []
     for mu, nu in cfg.points:
         value = _reference_sigma_from_arrays(
@@ -258,12 +260,12 @@ def _reference_sigma_detail(cfg):
         batch_vals = [
             _reference_sigma_from_arrays(
                 signs[lo:hi], logs[lo:hi], lambdas, mu, nu, cfg.n,
-                f"batch index {b} of 20 batches ({hi - lo} samples; "
+                f"batch index {b} of {batches} batches ({hi - lo} samples; "
                 f"the whole-sample estimate is {value!r})",
             )
             for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
         ]
-        out.append((value, float(np.std(batch_vals, ddof=1)) / math.sqrt(20)))
+        out.append((value, float(np.std(batch_vals, ddof=1)) / math.sqrt(batches)))
     return out
 
 
@@ -296,7 +298,7 @@ def test_estimate_sigma_detail_bit_identical_to_reference(kind):
 def test_estimate_sigma_degenerate_message_matches_reference():
     cfg = wigner_mc.MCConfig(EnsembleKind.HERMITIAN,
                              wigner_mc.dist_for("gaussian", EnsembleKind.HERMITIAN),
-                             4, 200, 10, points=((0.3, -0.7),))
+                             4, 200, 0, points=((5.0, -1.0),))
     with pytest.raises(DegenerateDenominatorError) as want:
         _reference_sigma_detail(cfg)
     with pytest.raises(DegenerateDenominatorError) as got:

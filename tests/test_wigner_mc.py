@@ -24,6 +24,7 @@ from wigcorr.wigner_mc import (
     DIST_KINDS,
     EIGEN_ROUTE_ABOVE,
     MC_MAX_N,
+    MC_MIN_SAMPLES,
     EntryDist,
     MCConfig,
     dist_for,
@@ -418,17 +419,30 @@ def test_estimate_sigma_detail():
 
 
 def test_estimate_sigma_batch_failure_names_the_batch():
-    # The whole 200-sample estimate is fine (about 0.50); one 10-sample
+    # The whole 200-sample estimate is fine (about 0.37); one 50-sample
     # batch has a nonpositive variance, and the error must say so.
     cfg = MCConfig(
-        HERM, dist_for("gaussian", HERM), 4, 200, 10, points=((0.3, -0.7),)
+        HERM, dist_for("gaussian", HERM), 4, 200, 0, points=((5.0, -1.0),)
     )
     with pytest.raises(DegenerateDenominatorError) as info:
         estimate_sigma_detail(cfg)
     msg = str(info.value)
-    assert "at point (0.3, -0.7)" in msg
-    assert re.search(r"batch index \d+ of 20 batches \(10 samples;", msg)
-    assert "whole-sample estimate is 0.503" in msg
+    assert "at point (5.0, -1.0)" in msg
+    assert re.search(r"batch index \d+ of 4 batches \(50 samples;", msg)
+    assert "whole-sample estimate is 0.367" in msg
+
+
+@pytest.mark.parametrize("kind", [HERM, SYM])
+def test_estimate_sigma_at_the_smallest_sample_count(kind):
+    # 100 samples make 2 batches of 50. In 20 batches of 5, one batch
+    # almost always had a nonpositive variance estimate and the call
+    # raised (38 of seeds 1-40, Hermitian).
+    for seed in range(1, 9):
+        cfg = MCConfig(kind, dist_for("gaussian", kind), 4, MC_MIN_SAMPLES, seed,
+                       points=((0.3, -0.7),))
+        (val, spread), = estimate_sigma_detail(cfg)
+        assert -1.0 <= val <= 1.0
+        assert spread >= 0.0
 
 
 def test_estimate_sigma_degenerate_point_is_unit():
