@@ -135,8 +135,6 @@ def _resolve_n_list(args) -> List[int]:
         sizes = list(args.n_list)
     else:
         raise DomainError("pass --n or --n-list")
-    if any(n <= 0 for n in sizes):
-        raise DomainError(f"matrix sizes must be positive, got {sizes}")
     if sizes != sorted(sizes):
         raise DomainError(f"sizes must be ascending, got {sizes}")
     return sizes

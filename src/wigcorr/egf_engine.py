@@ -7,11 +7,13 @@ whose radius approaches the singularity like 1 - n^(-1/3); all exponent
 arithmetic is done in log space under a single max shift so the method
 reaches n = 10^6 without overflow.
 
-The integrand's two logarithms depend only on the circle: they are kept
-read-only for the 8 latest (radius, points) pairs, at most about 13 MB
-(8 circles near n = 10^6). Work that shares a circle gains (sigma_alpha,
-sweeps over alpha, bstar or offsets at fixed n, every n <= 8); one pass
-over distinct n, as in an `edge` n-list, does not.
+The generating function has real coefficients, so the trapezoid sum
+needs only the upper half circle. Its nodes and the integrand's two
+logarithms depend only on the circle: they are kept read-only for the
+8 latest (radius, points) pairs, at most about 11.5 MB (8 circles at
+n = 10^6). Work that shares a circle gains (sigma_alpha, sweeps over
+alpha, bstar or offsets at fixed n, every n <= 8); one pass over
+distinct n, as in an `edge` n-list, does not.
 
 Bulk values (n <= 512) use no circle: they come from the 40-digit f_n
 recurrence, which the contour falls back to when it cancels.
@@ -52,14 +54,13 @@ MAX_ABS_Z = 0.9999
 EDGE_MAX_N = 10 ** 6
 BULK_MAX_N = 512
 BULK_MAX_XI = 1.8
-IMAG_RESIDUE_TOL = 1e-8
 
 # The double-precision contour average loses up to 2.5e-15 times its
 # condition number in relative error (measured at raw bulk points), so
-# a trigger at 1e4 keeps contour values within about 2.5e-11. Above
-# MP_CONDITION_AT, or with an imaginary residue, the value is recomputed
-# by the f_n recurrence instead, at every order a job admits (MP_MAX_N;
-# about 0.3 s at n = 10^5 and 3 s at 10^6).
+# a trigger at 1e4 keeps contour values within about 2.5e-11. An average
+# that cancels past MP_CONDITION_AT is recomputed by the f_n recurrence
+# instead, at every order a job admits (MP_MAX_N; about 0.3 s at
+# n = 10^5 and 3 s at 10^6).
 MP_CONDITION_AT = 1e4
 MP_MAX_N = EDGE_MAX_N
 # The recurrence refuses a value whose error estimate exceeds the
@@ -90,8 +91,9 @@ class EgfParams:
     nu: float
 
     def __post_init__(self):
-        check_finite("generating-function arguments alpha, bstar, mu, nu",
-                     self.alpha, self.bstar, self.mu, self.nu)
+        check_finite("generating-function arguments alpha, bstar, mu, nu, mu*mu + nu*nu",
+                     self.alpha, self.bstar, self.mu, self.nu,
+                     self.mu * self.mu + self.nu * self.nu)
         if not (self.alpha > 0):
             raise DomainError(f"alpha must be positive, got {self.alpha}")
 
@@ -153,32 +155,31 @@ def edge_lognorm(alpha: float, n: int, mu: float, nu: float) -> float:
             + 2.0 * n + (mu + nu) * n ** (1.0 / 3.0))
 
 
-def _circle(radius: float, points: int):
-    """Trapezoid nodes t in [-pi, pi) and z = radius e^(it) of one circle."""
-    t = -math.pi + 2.0 * math.pi * np.arange(points) / points
-    return t, radius * np.exp(1j * t)
-
-
 @functools.lru_cache(maxsize=8)
-def _circle_logs(radius: float, points: int) -> np.ndarray:
-    """Read-only (2, points) array of Log(1 - z) and Log(1 + z) on the
-    circle of `_circle`, shared by its extractions. The radius is a
-    ContourJob's, at most MAX_ABS_Z, so both logs are principal:
-    Re(1 +- z) > 0 inside the unit disc."""
-    z = _circle(radius, points)[1]
+def _half_circle(radius: float, points: int):
+    """Read-only upper-half trapezoid nodes of one circle, shared by its
+    extractions: the angles t_k = 2 pi k / points, k = 0 .. points/2, and
+    a (3, points/2 + 1) array of z_k = radius e^(i t_k), Log(1 - z_k) and
+    Log(1 + z_k). The radius is a ContourJob's, at most MAX_ABS_Z, so
+    both logs are principal: Re(1 +- z) > 0 inside the unit disc."""
+    m = points // 2 + 1
     # Anonymous pages, not the malloc heap: there a long-lived array pins
     # the freed temporaries around it (about 2 MB more peak RSS at n = 10^6).
-    logs = np.frombuffer(mmap.mmap(-1, 32 * points), dtype=complex).reshape(2, -1)
-    np.subtract(1.0, z, out=logs[0])
-    np.add(1.0, z, out=logs[1])
-    np.log(logs, out=logs)
-    logs.flags.writeable = False
-    return logs
+    buf = mmap.mmap(-1, 56 * m)
+    t = np.frombuffer(buf, dtype=float, count=m)
+    zs = np.frombuffer(buf, dtype=complex, offset=8 * m).reshape(3, m)
+    np.divide(2.0 * math.pi * np.arange(m), points, out=t)
+    np.multiply(radius, np.exp(1j * t), out=zs[0])
+    np.subtract(1.0, zs[0], out=zs[1])
+    np.add(1.0, zs[0], out=zs[2])
+    np.log(zs[1:], out=zs[1:])
+    t.flags.writeable = zs.flags.writeable = False
+    return t, zs
 
 
 def _log_egf(params: EgfParams, z: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """Principal-branch log of the generating function at the complex
-    points z, given their `_circle_logs`:
+    points z, given their logs Log(1 - z) and Log(1 + z):
 
     log EGF = mu nu z/(1-z^2) - (mu^2+nu^2)/2 * z^2/(1-z^2) + bstar z^2
               - (alpha + 1/2) Log(1-z) - (1/2) Log(1+z),
@@ -206,43 +207,47 @@ def extract_f(job: ContourJob):
     """n! times the n-th Taylor coefficient of the generating function.
 
     Trapezoid rule on the circle of the job; on a periodic integrand the
-    uniform sum is spectrally accurate. The power z^(-n) is assembled
-    from polar pieces r^(-n) e^(-int), never through a complex log, so
-    there is no branch-cut hazard at the angle seam. Contours far from
-    the optimal radius concentrate the coefficient in a heavily
+    uniform sum is spectrally accurate. The generating function has real
+    coefficients, so its samples at t and -t are complex conjugates: the
+    sum runs over the upper half circle and is real by construction. The
+    power z^(-n) is assembled from polar pieces r^(-n) e^(-int), never
+    through a complex log, so there is no branch-cut hazard. Contours far
+    from the optimal radius concentrate the coefficient in a heavily
     cancelling average. One rule holds at every order: an average that
-    cancels past MP_CONDITION_AT, or keeps an imaginary residue, is
+    cancels past MP_CONDITION_AT (an exact zero or NaN included) is
     replaced by the f_n recurrence's value instead of returning digits
     that doubles cannot support, so the recurrence's error-estimate rule
     is the only refusal. Returns the scaled value and extraction
     diagnostics; the condition is always the contour's cancellation.
-
-    Log(1 - z) and Log(1 + z), about 60% of an uncached call, come from
-    `_circle_logs`, keyed by (radius, points) since n enters only through
-    the phase; see the module docstring for what it holds and which work
-    gains. Every value is bit for bit that of an uncached evaluation.
+    `_half_circle` caches the nodes, since n enters only through the phase.
     """
     params = job.params
-    logs = _circle_logs(job.radius, job.points)
-    t, z = _circle(job.radius, job.points)
+    t, (z, *logs) = _half_circle(job.radius, job.points)
     expo = _log_egf(params, z, logs)
     expo -= job.n * math.log(job.radius)
-    expo -= np.multiply(1j * job.n, t, out=z)   # z is not read again
+    expo.imag -= job.n * t
     shift = float(expo.real.max())
     expo -= shift
-    mean = complex(np.exp(expo, out=expo).mean())
-    mag = abs(mean)
-    # After the shift the largest sample has modulus exactly 1, so 1/mag
-    # is the cancellation suffered by the average.
-    if (mag == 0.0 or 1.0 / mag > MP_CONDITION_AT
-            or abs(mean.imag) > IMAG_RESIDUE_TOL * mag):
+    samples = np.exp(expo, out=expo).real
+    mean = float(2.0 * samples.sum() - samples[0] - samples[-1]) / job.points
+    # After the shift the largest sample has modulus exactly 1, so
+    # 1/|mean| is the cancellation suffered by the average.
+    if not abs(mean) >= 1.0 / MP_CONDITION_AT:
         value, log_c, _ = _recurrence_value(params, job.n)
         condition = max(1.0, math.exp(min(shift - log_c, 709.0)))
         return value, SaddleData(condition)
-    condition = max(1.0, 1.0 / abs(mean.real))
-    value = ScaledReal(1 if mean.real > 0 else -1,
-                       float(gammaln(job.n + 1)) + shift + math.log(abs(mean.real)))
-    return value, SaddleData(condition)
+    value = ScaledReal(1 if mean > 0 else -1,
+                       float(gammaln(job.n + 1)) + shift + math.log(abs(mean)))
+    return value, SaddleData(max(1.0, 1.0 / abs(mean)))
+
+
+def _unscaled(value: ScaledReal, lognorm: float) -> float:
+    """value / e^lognorm, refused by a DomainError outside double range."""
+    try:
+        return value.sign * math.exp(value.log_mag - lognorm)
+    except OverflowError:
+        raise DomainError("a value left double range (scaled value "
+                          f"e^{value.log_mag - lognorm:.6g})") from None
 
 
 def _recurrence_f(params: EgfParams, n: int):
@@ -316,7 +321,7 @@ def edge_scaled_full(alpha: float, bstar: float, mu: float, nu: float, n: int):
     job = ContourJob.with_defaults(EgfParams(alpha, bstar, mu_n, nu_n), n)
     value, diag = extract_f(job)
     lognorm = edge_lognorm(alpha, n, mu, nu)
-    scaled = value.sign * math.exp(value.log_mag - lognorm)
+    scaled = _unscaled(value, lognorm)
     return scaled, value, diag
 
 
@@ -351,7 +356,7 @@ def bulk_scaled_full(alpha: float, bstar: float, xi: float, mu: float,
     lognorm = (0.5 * math.log(2.0 * math.pi) + float(gammaln(n + 1))
                + n_pow * math.log(n) + rho_pow * math.log(rho_xi)
                + 0.5 * n * xi * xi + 0.5 * (mu + nu) * xi / rho_xi)
-    scaled = value.sign * math.exp(value.log_mag - lognorm)
+    scaled = _unscaled(value, lognorm)
     return scaled, value, SaddleData(error / ((n + 1) * _RECURRENCE_UNIT))
 
 

@@ -289,6 +289,8 @@ def _mean_scaled(pair_signs: np.ndarray, pair_logs: np.ndarray):
     """Shifted mean and standard error of sign * exp(log) samples."""
     count = pair_logs.shape[0]
     shift = float(pair_logs.max())
+    if shift == -math.inf:  # every product is exactly zero
+        return ZERO, ZERO
     vals = pair_signs * np.exp(pair_logs - shift)
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1)) / math.sqrt(count)

@@ -300,13 +300,27 @@ def test_mc_keeps_rows_after_an_exact_zero_reference(capsys):
     assert second["sign"] != 0 and second["condition"] < 1.0
 
 
+def test_mc_row_of_products_that_are_all_zero(capsys):
+    code, out, err = run(
+        capsys,
+        ["mc", "--ensemble", "symmetric", "--dist", "rademacher", "--n", "1",
+         "--samples", "100", "--mu", "1.4142135623730951",
+         "--nu", "-1.4142135623730951", "--format", "json", "--deterministic"],
+    )
+    assert (code, err) == (0, "")
+    row, = json.loads(out)["rows"]
+    assert (row["N"], row["sign"], row["scaled"]) == (1, 0, 0.0)
+
+
 @pytest.mark.parametrize("command", ["edge", "bulk", "corr", "oracle", "mc"])
 @pytest.mark.parametrize("sizes", [["--n", "0"], ["--n-list=-1,5"]])
 def test_table_commands_refuse_nonpositive_sizes(command, sizes, capsys):
+    # each command's own order rule refuses the first size
     code, out, err = run(capsys, [command, *sizes])
     assert code == 3
     assert out == ""
-    assert err.startswith("wigcorr: matrix sizes must be positive")
+    first = sizes[-1].split("=")[-1].split(",")[0]  # "0" or "-1"
+    assert f"{first} outside [1, " in err
     assert "Traceback" not in err
 
 

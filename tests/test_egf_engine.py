@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
+from wigcorr import egf_engine
 from wigcorr.errors import CancellationError, DomainError, NumericalConsistencyError
 from wigcorr.egf_engine import (
     BULK_MAX_N,
@@ -27,7 +29,7 @@ from wigcorr.egf_engine import (
     extract_f,
     rho,
     sigma_alpha,
-    _circle_logs,
+    _half_circle,
     _log_egf,
     _recurrence_value,
 )
@@ -46,6 +48,18 @@ def test_params_validation():
         EgfParams(0.0, 0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         EgfParams(1.0, math.nan, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: extract_f(ContourJob.with_defaults(EgfParams(1.0, 0.0, 1.35e154, 1.0), 8)),
+    lambda: edge_scaled_full(1.0, 1e300, 0.0, 1.0, 8),
+    lambda: bulk_scaled_full(1.0, 1e300, 0.0, 0.25, -0.25, 8),
+], ids=["extract_f", "edge_scaled_full", "bulk_scaled_full"])
+def test_finite_arguments_that_leave_double_range_are_domain_errors(call):
+    # each used to raise OverflowError: at mu ** 2 in _log_egf, or at
+    # the conversion of the scaled value to a float
+    with pytest.raises(DomainError, match="double range|mu\\*mu"):
+        call()
 
 
 def test_job_validation():
@@ -127,16 +141,24 @@ def test_circle_log_cache_cannot_change_a_value():
     ]
     cold = []
     for job in jobs:
-        _circle_logs.cache_clear()
+        _half_circle.cache_clear()
         cold.append(_extraction_bits(job))
-    _circle_logs.cache_clear()
+    _half_circle.cache_clear()
     warm = [_extraction_bits(job) for job in jobs]
     backward = [_extraction_bits(job) for job in reversed(jobs)][::-1]
     assert warm == cold
     assert backward == cold
-    logs = _circle_logs(0.7, 2048)
-    with pytest.raises(ValueError):
-        logs[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("points", [2048, 51200])
+def test_half_circle_is_read_only_and_holds_the_upper_half(points):
+    t, zs = _half_circle(0.7, points)
+    assert t.shape == (points // 2 + 1,)
+    assert zs.shape == (3, points // 2 + 1)
+    assert (t[0], t[-1]) == (0.0, math.pi)
+    for array in (t, zs):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_circles_with_equal_point_counts_keep_their_own_logs():
@@ -150,13 +172,81 @@ def test_circles_with_equal_point_counts_keep_their_own_logs():
         assert jobs[0].points == jobs[1].points
         cold = []
         for job in jobs:
-            _circle_logs.cache_clear()
+            _half_circle.cache_clear()
             cold.append(extract_f(job))
         assert [extract_f(job) for job in jobs + jobs] == cold + cold
         (a, da), (b, db) = cold
         assert max(da.condition, db.condition) < MP_CONDITION_AT
         assert a.sign == b.sign
         assert a.log_mag == pytest.approx(b.log_mag, abs=1e-12)
+
+
+def _full_circle_extract(job):
+    """The full-circle trapezoid sum extract_f took before it summed the
+    upper half, kept verbatim as a reference (uncached): the route, and
+    the contour's sign, log |f| and condition where it keeps them."""
+    t = -math.pi + 2.0 * math.pi * np.arange(job.points) / job.points
+    z = job.radius * np.exp(1j * t)
+    expo = _log_egf(job.params, z, np.log([1.0 - z, 1.0 + z]))
+    expo -= job.n * math.log(job.radius)
+    expo -= np.multiply(1j * job.n, t, out=z)
+    shift = float(expo.real.max())
+    expo -= shift
+    mean = complex(np.exp(expo, out=expo).mean())
+    mag = abs(mean)
+    if (mag == 0.0 or 1.0 / mag > MP_CONDITION_AT
+            or abs(mean.imag) > 1e-8 * mag):
+        return ("recurrence",)
+    return ("contour", 1 if mean.real > 0 else -1,
+            float(gammaln(job.n + 1)) + shift + math.log(abs(mean.real)),
+            max(1.0, 1.0 / abs(mean.real)))
+
+
+class _TookRecurrence(Exception):
+    pass
+
+
+def _half_circle_route(job, monkeypatch):
+    def took_recurrence(params, n):
+        raise _TookRecurrence
+
+    with monkeypatch.context() as patch:
+        patch.setattr(egf_engine, "_recurrence_value", took_recurrence)
+        try:
+            value, diag = extract_f(job)
+        except _TookRecurrence:
+            return ("recurrence",), None, None
+    return ("contour", value.sign), value, diag
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 20, 64, 125, 512, 1000, 8000])
+def test_half_circle_sum_keeps_the_full_circle_routes_and_values(n, monkeypatch):
+    # The same trapezoid rule over half the nodes: route and sign as the
+    # full circle everywhere; each sum loses up to 2.5e-15 times the
+    # condition, so at n <= 125 the two agree within twice that plus
+    # 2 ulp of log f. Above n = 125 both sums exceed that bound at
+    # offsets such as (2, 3) at n = 8000, the full circle as well as the
+    # half, so there the value is held to the recurrence at the offsets
+    # (0, 1) and (-1, 0.5) only.
+    points = [(alpha, bstar) + edge_points(n, mu, nu)
+              for alpha in (0.5, 1.0, 2.0, 3.0) for bstar in (0.0, 0.5)
+              for mu, nu in ((0.0, 1.0), (-1.0, 0.5), (2.0, 3.0))]
+    points += [(1.5, -0.25, 0.3, -0.7), (1.0, 0.25, 0.4, -0.6)]
+    for args in points:
+        job = ContourJob.with_defaults(EgfParams(*args), n)
+        full = _full_circle_extract(job)
+        route, value, diag = _half_circle_route(job, monkeypatch)
+        assert route == full[:2]
+        if route[0] != "contour":
+            continue
+        if n <= 125:
+            want, condition = full[2], max(full[3], diag.condition)
+        elif args[2:] in (edge_points(n, 0.0, 1.0), edge_points(n, -1.0, 0.5)):
+            want, condition = _recurrence_value(job.params, n)[0].log_mag, diag.condition
+        else:
+            continue
+        tol = 2 * 2.5e-15 * condition + 2 * math.ulp(want)
+        assert abs(value.log_mag - want) <= tol, (args, n)
 
 
 def test_first_coefficients_exact():

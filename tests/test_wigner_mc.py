@@ -19,7 +19,7 @@ from wigcorr.exact_oracle import (
 from wigcorr.special_fn import char_poly_mean
 from wigcorr.egf_engine import sigma_alpha
 from wigcorr import wigner_mc
-from wigcorr.numeric_core import scaled_to_real_checked
+from wigcorr.numeric_core import ZERO, scaled_to_real_checked
 from wigcorr.wigner_mc import (
     DIST_KINDS,
     EIGEN_ROUTE_ABOVE,
@@ -398,6 +398,17 @@ def test_estimate_f_matches_oracle():
     want = oracle_f(HERM, gaussian_profile(HERM), 3, 0.3, -0.7)
     assert abs(got - want) < 4.0 * err
     assert err < 0.1 * abs(want)
+
+
+def test_estimate_f_of_products_that_are_all_zero_is_zero():
+    # n = 1 with the entry law's two atoms as points: every product
+    # det(X - mu) det(X - nu) is exactly 0; the shifted mean used to be
+    # -inf - (-inf), a NaN
+    root2 = math.sqrt(2.0)
+    cfg = MCConfig(SYM, dist_for("rademacher", SYM), 1, 100, 0,
+                   points=((root2, -root2),))
+    est, = estimate_f(cfg)
+    assert (est.mean, est.stderr) == (ZERO, ZERO)
 
 
 def test_estimate_f_seed_sensitivity():
