@@ -8,9 +8,10 @@ arithmetic is done in log space under a single max shift so the method
 reaches n = 10^6 without overflow.
 
 The generating function has real coefficients, so the trapezoid sum
-needs only the upper half circle. Its nodes and the integrand's two
-logarithms depend only on the circle: they are kept read-only for the
-8 latest (radius, points) pairs, at most about 11.5 MB (8 circles at
+needs only the upper half circle. Its log-integrand is a coefficient
+vector times six functions of the node, which depend only on the
+circle: they are kept read-only for the 8 latest (radius, points)
+pairs, 96 B per half-circle node, at most about 19.7 MB (8 circles at
 n = 10^6). Work that shares a circle gains (sigma_alpha, sweeps over
 alpha, bstar or offsets at fixed n, every n <= 8); one pass over
 distinct n, as in an `edge` n-list, does not.
@@ -56,12 +57,13 @@ BULK_MAX_N = 512
 BULK_MAX_XI = 1.8
 
 # The double-precision contour average loses up to 2.5e-15 times its
-# condition number in relative error (measured at raw bulk points), so
-# a trigger at 1e4 keeps contour values within about 2.5e-11. An average
-# that cancels past MP_CONDITION_AT is recomputed by the f_n recurrence
-# instead, at every order a job admits (MP_MAX_N; about 0.3 s at
-# n = 10^5 and 3 s at 10^6).
+# condition number in relative error, plus 2 ulp of log |f| (measured
+# over edge points up to n = 10^6): within about 2.5e-11 and that floor
+# at the 1e4 trigger. An average that cancels past MP_CONDITION_AT is
+# recomputed by the f_n recurrence instead, at every order a job admits
+# (EDGE_MAX_N; about 0.3 s at n = 10^5 and 3 s at 10^6).
 MP_CONDITION_AT = 1e4
+# The benchmark's traced pass reads this alias.
 MP_MAX_N = EDGE_MAX_N
 # The recurrence refuses a value whose error estimate exceeds the
 # tolerance. Its true error was measured at up to 3.1e3 times the
@@ -99,12 +101,12 @@ class EgfParams:
 
 
 def default_radius(n: int) -> float:
-    check_order(n, 1, MP_MAX_N, "coefficient order")
+    check_order(n, 1, EDGE_MAX_N, "coefficient order")
     return max(MIN_RADIUS, 1.0 - n ** (-1.0 / 3.0))
 
 
 def default_points(n: int) -> int:
-    check_order(n, 1, MP_MAX_N, "coefficient order")
+    check_order(n, 1, EDGE_MAX_N, "coefficient order")
     return max(2048, 512 * math.ceil(n ** (1.0 / 3.0)))
 
 
@@ -157,50 +159,47 @@ def edge_lognorm(alpha: float, n: int, mu: float, nu: float) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _half_circle(radius: float, points: int):
-    """Read-only upper-half trapezoid nodes of one circle, shared by its
-    extractions: the angles t_k = 2 pi k / points, k = 0 .. points/2, and
-    a (3, points/2 + 1) array of z_k = radius e^(i t_k), Log(1 - z_k) and
-    Log(1 + z_k). The radius is a ContourJob's, at most MAX_ABS_Z, so
-    both logs are principal: Re(1 +- z) > 0 inside the unit disc."""
+    """Read-only basis of the log-integrand on the upper-half trapezoid
+    nodes of one circle, shared by its extractions: a (6, points/2 + 1)
+    array whose rows are z/(1+z), z/(1-z), z^2, Log(1-z), Log(1+z) and
+    log radius + i t at z = radius e^(i t), t = 2 pi k / points,
+    k = 0 .. points/2. The radius is a ContourJob's, at most MAX_ABS_Z,
+    so both logs are principal: Re(1 +- z) > 0 inside the unit disc."""
     m = points // 2 + 1
     # Anonymous pages, not the malloc heap: there a long-lived array pins
     # the freed temporaries around it (about 2 MB more peak RSS at n = 10^6).
-    buf = mmap.mmap(-1, 56 * m)
-    t = np.frombuffer(buf, dtype=float, count=m)
-    zs = np.frombuffer(buf, dtype=complex, offset=8 * m).reshape(3, m)
-    np.divide(2.0 * math.pi * np.arange(m), points, out=t)
-    np.multiply(radius, np.exp(1j * t), out=zs[0])
-    np.subtract(1.0, zs[0], out=zs[1])
-    np.add(1.0, zs[0], out=zs[2])
-    np.log(zs[1:], out=zs[1:])
-    t.flags.writeable = zs.flags.writeable = False
-    return t, zs
+    buf = mmap.mmap(-1, 96 * m)
+    phi = np.frombuffer(buf, dtype=complex).reshape(6, m)
+    z = phi[2]
+    phi[5].real = math.log(radius)
+    np.divide(2.0 * math.pi * np.arange(m), points, out=phi[5].imag)
+    np.multiply(1j, phi[5].imag, out=z)
+    np.exp(z, out=z)
+    z *= radius
+    np.subtract(1.0, z, out=phi[3])
+    np.add(1.0, z, out=phi[4])
+    np.divide(z, phi[4], out=phi[0])
+    np.divide(z, phi[3], out=phi[1])
+    z *= z
+    np.log(phi[3:5], out=phi[3:5])
+    phi.flags.writeable = False
+    return phi
 
 
-def _log_egf(params: EgfParams, z: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Principal-branch log of the generating function at the complex
-    points z, given their logs Log(1 - z) and Log(1 + z):
+def _coefficients(params: EgfParams, n: int) -> np.ndarray:
+    """Coefficients over the rows of `_half_circle` of log EGF(z) - n log z,
 
     log EGF = mu nu z/(1-z^2) - (mu^2+nu^2)/2 * z^2/(1-z^2) + bstar z^2
-              - (alpha + 1/2) Log(1-z) - (1/2) Log(1+z),
+              - (alpha + 1/2) Log(1-z) - (1/2) Log(1+z).
 
-    evaluated left to right in two new arrays, with w = z/(1-z^2).
-    """
-    out = z * z
-    np.subtract(1.0, out, out=out)
-    np.divide(z, out, out=out)                  # w
-    tmp = np.multiply(0.5 * (params.mu ** 2 + params.nu ** 2), z)
-    tmp *= out
-    out *= params.mu * params.nu                # rounds like (mu nu) w
-    out -= tmp
-    np.multiply(params.bstar, z, out=tmp)
-    tmp *= z
-    out += tmp
-    np.multiply(params.alpha + 0.5, logs[0], out=tmp)
-    out -= tmp
-    np.multiply(0.5, logs[1], out=tmp)
-    out -= tmp
-    return out
+    Its first two terms, each about 2 n^(4/3) at the edge where their sum
+    is about 2 n, are taken as ((mu+nu)/2)^2 z/(1+z) - ((mu-nu)/2)^2 z/(1-z),
+    which does not cancel. Both squares are at most (mu^2+nu^2)/2, which
+    `EgfParams` keeps finite."""
+    plus = 0.5 * (params.mu + params.nu)
+    minus = 0.5 * (params.mu - params.nu)
+    return np.array([plus * plus, -(minus * minus), params.bstar,
+                     -(params.alpha + 0.5), -0.5, -n])
 
 
 def extract_f(job: ContourJob):
@@ -219,13 +218,13 @@ def extract_f(job: ContourJob):
     that doubles cannot support, so the recurrence's error-estimate rule
     is the only refusal. Returns the scaled value and extraction
     diagnostics; the condition is always the contour's cancellation.
-    `_half_circle` caches the nodes, since n enters only through the phase.
+    The exponent is `_coefficients` times the basis `_half_circle` caches.
     """
     params = job.params
-    t, (z, *logs) = _half_circle(job.radius, job.points)
-    expo = _log_egf(params, z, logs)
-    expo -= job.n * math.log(job.radius)
-    expo.imag -= job.n * t
+    # A real product over the float view: its bits do not depend on the
+    # BLAS thread count, where those of a complex product did.
+    basis = _half_circle(job.radius, job.points).view(float)
+    expo = (_coefficients(params, job.n) @ basis).view(complex)
     shift = float(expo.real.max())
     expo -= shift
     samples = np.exp(expo, out=expo).real

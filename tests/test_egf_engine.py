@@ -29,8 +29,8 @@ from wigcorr.egf_engine import (
     extract_f,
     rho,
     sigma_alpha,
+    _coefficients,
     _half_circle,
-    _log_egf,
     _recurrence_value,
 )
 from wigcorr.exact_oracle import (
@@ -103,18 +103,49 @@ def test_default_contour_parameters():
     assert default_points(1000) == 5120
 
 
+def _log_egf(params: EgfParams, z: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Principal-branch log of the generating function at the complex
+    points z, given their logs Log(1 - z) and Log(1 + z):
+
+    log EGF = mu nu z/(1-z^2) - (mu^2+nu^2)/2 * z^2/(1-z^2) + bstar z^2
+              - (alpha + 1/2) Log(1-z) - (1/2) Log(1+z),
+
+    evaluated left to right in two new arrays, with w = z/(1-z^2).
+    """
+    out = z * z
+    np.subtract(1.0, out, out=out)
+    np.divide(z, out, out=out)                  # w
+    tmp = np.multiply(0.5 * (params.mu ** 2 + params.nu ** 2), z)
+    tmp *= out
+    out *= params.mu * params.nu                # rounds like (mu nu) w
+    out -= tmp
+    np.multiply(params.bstar, z, out=tmp)
+    tmp *= z
+    out += tmp
+    np.multiply(params.alpha + 0.5, logs[0], out=tmp)
+    out -= tmp
+    np.multiply(0.5, logs[1], out=tmp)
+    out -= tmp
+    return out
+
+
 def test_log_egf_value():
-    # mu = nu = 0 leaves only the two principal logs
+    # mu = nu = 0 leaves only the two principal logs; node 0 is z = 0.5
+    # and n = 0 drops the phase
     p = EgfParams(1.0, 0.0, 0.0, 0.0)
     want = 1.5 * math.log(2.0) - 0.5 * math.log(1.5)
-    z = np.array([0.5 + 0j])
-    got = complex(_log_egf(p, z, np.log([1.0 - z, 1.0 + z]))[0])
+    got = complex((_coefficients(p, 0) @ _half_circle(0.5, 2048))[0])
     assert got.real == pytest.approx(want, rel=1e-15)
     assert got.imag == 0.0
-    z = np.array([0.5, 0.5j])
-    arr = _log_egf(p, z, np.log([1.0 - z, 1.0 + z]))
-    assert arr.shape == (2,)
-    assert arr[0].real == pytest.approx(want, rel=1e-15)
+    # every node, against the term-by-term form and the phase -n log z
+    p = EgfParams(1.5, 0.3, 0.4, -0.6)
+    phi = _half_circle(0.7, 2048)
+    t = phi[5].imag
+    z = 0.7 * np.exp(1j * t)
+    want = _log_egf(p, z, np.log([1.0 - z, 1.0 + z])) - 7 * (math.log(0.7) + 1j * t)
+    got = _coefficients(p, 7) @ phi
+    assert got.shape == (1025,)
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def _extraction_bits(job):
@@ -152,11 +183,11 @@ def test_circle_log_cache_cannot_change_a_value():
 
 @pytest.mark.parametrize("points", [2048, 51200])
 def test_half_circle_is_read_only_and_holds_the_upper_half(points):
-    t, zs = _half_circle(0.7, points)
-    assert t.shape == (points // 2 + 1,)
-    assert zs.shape == (3, points // 2 + 1)
-    assert (t[0], t[-1]) == (0.0, math.pi)
-    for array in (t, zs):
+    phi = _half_circle(0.7, points)
+    assert phi.shape == (6, points // 2 + 1)
+    assert (phi[5].imag[0], phi[5].imag[-1]) == (0.0, math.pi)
+    assert np.all(phi[5].real == math.log(0.7))
+    for array in (phi, phi[5].imag):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -224,10 +255,9 @@ def test_half_circle_sum_keeps_the_full_circle_routes_and_values(n, monkeypatch)
     # The same trapezoid rule over half the nodes: route and sign as the
     # full circle everywhere; each sum loses up to 2.5e-15 times the
     # condition, so at n <= 125 the two agree within twice that plus
-    # 2 ulp of log f. Above n = 125 both sums exceed that bound at
-    # offsets such as (2, 3) at n = 8000, the full circle as well as the
-    # half, so there the value is held to the recurrence at the offsets
-    # (0, 1) and (-1, 0.5) only.
+    # 2 ulp of log f. Above n = 125 the full circle's term-by-term
+    # integrand cancels past that bound at offsets such as (2, 3) at
+    # n = 8000, so there every contour value is held to the recurrence.
     points = [(alpha, bstar) + edge_points(n, mu, nu)
               for alpha in (0.5, 1.0, 2.0, 3.0) for bstar in (0.0, 0.5)
               for mu, nu in ((0.0, 1.0), (-1.0, 0.5), (2.0, 3.0))]
@@ -241,10 +271,8 @@ def test_half_circle_sum_keeps_the_full_circle_routes_and_values(n, monkeypatch)
             continue
         if n <= 125:
             want, condition = full[2], max(full[3], diag.condition)
-        elif args[2:] in (edge_points(n, 0.0, 1.0), edge_points(n, -1.0, 0.5)):
-            want, condition = _recurrence_value(job.params, n)[0].log_mag, diag.condition
         else:
-            continue
+            want, condition = _recurrence_value(job.params, n)[0].log_mag, diag.condition
         tol = 2 * 2.5e-15 * condition + 2 * math.ulp(want)
         assert abs(value.log_mag - want) <= tol, (args, n)
 
