@@ -1,14 +1,16 @@
 """Monte Carlo sampling of Wigner ensembles.
 
-Sample i is drawn from the Philox counter-mode substream at counter
-[0, 0, 0, i] of the seed's key, so estimates are bit-identical for a
-fixed seed no matter how sampling is chunked or threaded. A chunk of
-samples reuses one Philox, moved to each sample's counter by assigning
-its state, and fills each sample's row with the law's raw variates
-(standard normals or uniforms) in one call; the law's map to entries
-then runs once over the chunk, in place, and the whole stack of
-matrices is assembled at once. sample_rng and sample_matrix give the
-same matrix one sample at a time.
+The sample stream is cut into blocks of B = max(1, BLOCK_WORDS // w)
+consecutive samples, where w is the number of raw variates one sample
+draws. Block b is drawn from the Philox counter-mode substream at
+counter [0, 0, 0, b] of the seed's key, in one call that fills its rows
+with the law's raw variates (standard normals or uniforms) in sample
+order, so sample i is row i % B of block i // B. Blocks depend only on
+the configuration and chunks hold whole blocks, so estimates are
+bit-identical for a fixed seed no matter how sampling is chunked or
+threaded. The law's map to entries then runs once over the chunk, in
+place, and the whole stack of matrices is assembled at once.
+sample_rng and sample_matrix give the same matrix one sample at a time.
 
 Each chunk is factored by one of two routes. With at most
 EIGEN_ROUTE_ABOVE distinct lambdas, slogdet factors X - lambda once per
@@ -57,6 +59,14 @@ __all__ = [
 MC_MAX_N = 256
 MC_MIN_SAMPLES = 100
 SEED_LIMIT = 1 << 128  # a Philox key is two 64-bit words
+# Raw variates per block of the stream (512 KB of doubles). At n = 4 a
+# block is thousands of samples, so one generator and one fill serve them
+# all; from n = 128 (Hermitian) on it is one sample, whose draw outweighs
+# the generator's construction by two orders of magnitude.
+BLOCK_WORDS = 1 << 16
+# RMT_THREADS is refused above this; a pool never has more workers than
+# chunks either.
+MAX_THREADS = 64
 DET_IMAG_TOL = 1e-7
 # Above this many distinct lambdas a chunk is factored once, by its
 # eigenvalues, instead of once per lambda by slogdet: one batched eigvalsh
@@ -157,22 +167,23 @@ class MCEstimate:
 
 
 def thread_count() -> int:
-    """Worker cap from RMT_THREADS; 0 or unset means automatic."""
+    """Worker cap from RMT_THREADS, at most MAX_THREADS; 0 or unset means
+    automatic."""
     raw = os.environ.get("RMT_THREADS", "0").strip() or "0"
     try:
         requested = int(raw)
     except ValueError as exc:
         raise DomainError(f"RMT_THREADS must be an integer, got {raw!r}") from exc
-    if requested < 0:
-        raise DomainError(f"RMT_THREADS must be >= 0, got {requested}")
+    if not 0 <= requested <= MAX_THREADS:
+        raise DomainError(f"RMT_THREADS must be in [0, {MAX_THREADS}], got {requested}")
     if requested == 0:
         return min(os.cpu_count() or 1, 8)
     return requested
 
 
-def sample_rng(seed: int, index: int) -> Generator:
-    """Counter-mode substream for one sample index."""
-    return Generator(Philox(key=seed, counter=[0, 0, 0, index]))
+def sample_rng(seed: int, block: int) -> Generator:
+    """Counter-mode substream of one block of samples."""
+    return Generator(Philox(key=seed, counter=[0, 0, 0, block]))
 
 
 def _draw_width(cfg: MCConfig) -> int:
@@ -180,6 +191,11 @@ def _draw_width(cfg: MCConfig) -> int:
     upper real parts, then (Hermitian) one of upper imaginary parts."""
     blocks = 2 if cfg.ensemble == EnsembleKind.HERMITIAN else 1
     return cfg.n + blocks * cfg.n * cfg.n
+
+
+def _block_samples(cfg: MCConfig) -> int:
+    """Samples per block of the stream."""
+    return max(1, BLOCK_WORDS // _draw_width(cfg))
 
 
 def _assemble(cfg: MCConfig, draws: np.ndarray) -> np.ndarray:
@@ -203,27 +219,23 @@ def _assemble(cfg: MCConfig, draws: np.ndarray) -> np.ndarray:
     return mats
 
 
-def sample_matrix(cfg: MCConfig, rng: Generator) -> np.ndarray:
-    """One ensemble matrix. Draw order is fixed (diagonal, upper real,
-    then upper imaginary for the Hermitian case) so streams are stable."""
-    return _assemble(cfg, cfg.dist.draw(rng, (1, _draw_width(cfg))))[0]
+def sample_matrix(cfg: MCConfig, index: int) -> np.ndarray:
+    """Matrix of sample index, one sample at a time: the block's generator
+    draws the rows up to the sample's own, in the fixed draw order
+    (diagonal, upper real, then upper imaginary for the Hermitian case)."""
+    block, row = divmod(index, _block_samples(cfg))
+    draws = cfg.dist.draw(sample_rng(cfg.seed, block), (row + 1, _draw_width(cfg)))
+    return _assemble(cfg, draws[row:])[0]
 
 
 def _draw_chunk(cfg: MCConfig, start: int, count: int) -> np.ndarray:
-    """Matrices of samples start .. start + count - 1, bit-identical to
-    sample_matrix(cfg, sample_rng(cfg.seed, i)) for each sample i."""
-    bitgen = Philox(key=cfg.seed)
-    rng = Generator(bitgen)
-    # A fresh state with the counter set is what sample_rng builds;
-    # assigning it is several times cheaper than a new generator.
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    fill = cfg.dist.raw_sampler(rng)
+    """Matrices of samples start .. start + count - 1, where start begins
+    a block; row c is sample_matrix(cfg, start + c) bit for bit."""
+    per_block = _block_samples(cfg)
     draws = np.empty((count, _draw_width(cfg)))
-    for c in range(count):
-        counter[3] = start + c
-        bitgen.state = state
-        fill(out=draws[c])
+    for lo in range(0, count, per_block):
+        rng = sample_rng(cfg.seed, (start + lo) // per_block)
+        cfg.dist.raw_sampler(rng)(out=draws[lo:lo + per_block])
     return _assemble(cfg, cfg.dist.map_raw(draws))
 
 
@@ -233,10 +245,13 @@ def _chunk_size(cfg: MCConfig) -> int:
     # glibc keeps freed blocks of up to 32 MB in its per-thread arenas, so
     # larger chunks leave peak RSS to depend on which worker thread got
     # which arena: at 64 MB it varied from 266 to 329 MB between identical
-    # runs; at 16 MB it stays near 110 MB, in the same time.
+    # runs; at 16 MB it stays near 110 MB, in the same time. The size is
+    # rounded down to whole blocks, at least one: a block of two or more
+    # samples holds at most 512 KB of draws and as much of matrices.
     itemsize = 16 if cfg.ensemble == EnsembleKind.HERMITIAN else 8
     per_sample = 8 * _draw_width(cfg) + itemsize * cfg.n * cfg.n
-    return min(4096, (16 << 20) // per_sample)
+    per_block = _block_samples(cfg)
+    return max(1, min(4096, (16 << 20) // per_sample) // per_block) * per_block
 
 
 def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
@@ -268,8 +283,9 @@ def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
             with np.errstate(divide="ignore"):  # an exact eigenvalue: -inf
                 logs[rows, j] = np.log(np.abs(gaps)).sum(axis=1)
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        list(pool.map(run_chunk, range(0, samples, chunk)))
+    starts = range(0, samples, chunk)
+    with ThreadPoolExecutor(max_workers=min(thread_count(), len(starts))) as pool:
+        list(pool.map(run_chunk, starts))
 
     if hermitian:
         worst = float(np.abs(signs.imag).max())

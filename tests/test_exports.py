@@ -21,7 +21,6 @@ PACKAGE = ROOT / "src" / "wigcorr"
 ALLOWED = {
     # The per-sample reference that the chunked Monte Carlo draw is
     # tested against, bit for bit.
-    "sample_rng": "per-sample reference of the chunk path",
     "sample_matrix": "per-sample reference of the chunk path",
 }
 

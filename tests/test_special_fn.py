@@ -298,7 +298,7 @@ def test_estimate_sigma_detail_bit_identical_to_reference(kind):
 def test_estimate_sigma_degenerate_message_matches_reference():
     cfg = wigner_mc.MCConfig(EnsembleKind.HERMITIAN,
                              wigner_mc.dist_for("gaussian", EnsembleKind.HERMITIAN),
-                             4, 200, 0, points=((5.0, -1.0),))
+                             4, 200, 5, points=((5.0, -1.0),))
     with pytest.raises(DegenerateDenominatorError) as want:
         _reference_sigma_detail(cfg)
     with pytest.raises(DegenerateDenominatorError) as got:
