@@ -8,13 +8,18 @@ with the law's raw variates (standard normals or uniforms) in sample
 order, so sample i is row i % B of block i // B. Blocks depend only on
 the configuration and chunks hold whole blocks, so estimates are
 bit-identical for a fixed seed no matter how sampling is chunked or
-threaded. The law's map to entries then runs once over the chunk, in
-place, and the whole stack of matrices is assembled at once.
-sample_rng and sample_matrix give the same matrix one sample at a time.
+threaded. A chunk is as many whole blocks as keep its raw draws and its
+matrix stack within CHUNK_BYTES, one core's L2 cache (at least one
+block, at most 4096 samples). The law's map to entries then runs once
+over the chunk, in place, and the whole stack of matrices is assembled
+at once. sample_rng and sample_matrix give the same matrix one sample
+at a time.
 
-Each chunk is factored by one of two routes. With at most
-EIGEN_ROUTE_ABOVE distinct lambdas, slogdet factors X - lambda once per
-lambda. With more, one batched eigvalsh gives the spectrum, and
+Each chunk is factored by one of two routes, and neither copies the
+stack. With at most EIGEN_ROUTE_ABOVE distinct lambdas, slogdet factors
+X - lambda once per lambda, with lambda subtracted from a saved copy of
+the diagonal into the stack's own. With more, one batched eigvalsh
+gives the spectrum, and
 sign det(X - lambda) and log|det(X - lambda)| = sum_i log|lambda_i -
 lambda| follow one lambda at a time; the two routes agree to rounding,
 and an exact eigenvalue reads sign 0 and log -inf on both. Determinant
@@ -64,6 +69,8 @@ SEED_LIMIT = 1 << 128  # a Philox key is two 64-bit words
 # all; from n = 128 (Hermitian) on it is one sample, whose draw outweighs
 # the generator's construction by two orders of magnitude.
 BLOCK_WORDS = 1 << 16
+# Bytes of raw draws plus matrix stack per chunk: one core's L2 cache.
+CHUNK_BYTES = 2 << 20
 # RMT_THREADS is refused above this; a pool never has more workers than
 # chunks either.
 MAX_THREADS = 64
@@ -168,7 +175,7 @@ class MCEstimate:
 
 def thread_count() -> int:
     """Worker cap from RMT_THREADS, at most MAX_THREADS; 0 or unset means
-    automatic."""
+    automatic: the CPUs this process may run on, at most 8."""
     raw = os.environ.get("RMT_THREADS", "0").strip() or "0"
     try:
         requested = int(raw)
@@ -177,7 +184,12 @@ def thread_count() -> int:
     if not 0 <= requested <= MAX_THREADS:
         raise DomainError(f"RMT_THREADS must be in [0, {MAX_THREADS}], got {requested}")
     if requested == 0:
-        return min(os.cpu_count() or 1, 8)
+        # os.cpu_count() also counts CPUs this process may not run on
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count() or 1
+        return min(usable, 8)
     return requested
 
 
@@ -240,18 +252,18 @@ def _draw_chunk(cfg: MCConfig, start: int, count: int) -> np.ndarray:
 
 
 def _chunk_size(cfg: MCConfig) -> int:
-    # A chunk holds its raw draws and then its matrix stack; keep the two
-    # together within 16 MB (the draws are freed before factorization).
-    # glibc keeps freed blocks of up to 32 MB in its per-thread arenas, so
-    # larger chunks leave peak RSS to depend on which worker thread got
-    # which arena: at 64 MB it varied from 266 to 329 MB between identical
-    # runs; at 16 MB it stays near 110 MB, in the same time. The size is
-    # rounded down to whole blocks, at least one: a block of two or more
-    # samples holds at most 512 KB of draws and as much of matrices.
+    # As many whole blocks as keep the chunk's raw draws plus its matrix
+    # stack within CHUNK_BYTES, at least one block and at most 4096
+    # samples; a block of more than one sample holds at most 512 KB of
+    # draws. Hermitian n = 64, 128 and 256 at 600, 300 and 200 samples
+    # (two workers, one BLAS thread, 2 shared cores, 7 alternations) peaked
+    # at 105 MB RSS with a 16 MB budget, 67 MB at 4 MB, 62 MB at 2 MB and
+    # 62 MB at 1 MB; their wall medians, 1.86 to 1.99 s with quartile
+    # spreads near 0.4 s, did not tell the budgets apart.
     itemsize = 16 if cfg.ensemble == EnsembleKind.HERMITIAN else 8
     per_sample = 8 * _draw_width(cfg) + itemsize * cfg.n * cfg.n
     per_block = _block_samples(cfg)
-    return max(1, min(4096, (16 << 20) // per_sample) // per_block) * per_block
+    return max(1, min(4096, CHUNK_BYTES // per_sample) // per_block) * per_block
 
 
 def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
@@ -263,25 +275,31 @@ def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
     n, samples = cfg.n, cfg.samples
     hermitian = cfg.ensemble == EnsembleKind.HERMITIAN
     lam_arr = np.asarray(lambdas, dtype=float)
-    dtype = complex if hermitian else float
-    signs = np.empty((samples, lam_arr.size), dtype=dtype)
+    signs = np.empty((samples, lam_arr.size), dtype=complex if hermitian else float)
     logs = np.empty((samples, lam_arr.size))
     chunk = _chunk_size(cfg)
-    eye = np.eye(n, dtype=dtype)
 
     def run_chunk(start: int) -> None:
         rows = slice(start, min(start + chunk, samples))
         mats = _draw_chunk(cfg, start, rows.stop - start)
         if lam_arr.size <= EIGEN_ROUTE_ABOVE:
+            # X - lambda in place, with the bits of X - lambda * I: off
+            # the diagonal that subtracts +-0.0, which changes only a
+            # -0.0, and assembly leaves none.
+            diag = mats.reshape(mats.shape[0], -1)[:, ::n + 1]
+            saved = diag.copy()
             for j, lam in enumerate(lam_arr):
-                signs[rows, j], logs[rows, j] = np.linalg.slogdet(mats - lam * eye)
+                np.subtract(saved, lam, out=diag)
+                signs[rows, j], logs[rows, j] = np.linalg.slogdet(mats)
             return
         eigs = np.linalg.eigvalsh(mats)
+        gaps, work = np.empty_like(eigs), np.empty_like(eigs)
         for j, lam in enumerate(lam_arr):
-            gaps = eigs - lam
-            signs[rows, j] = np.prod(np.sign(gaps), axis=1)
+            np.subtract(eigs, lam, out=gaps)
+            signs[rows, j] = np.sign(gaps, out=work).prod(axis=1)
+            np.abs(gaps, out=work)
             with np.errstate(divide="ignore"):  # an exact eigenvalue: -inf
-                logs[rows, j] = np.log(np.abs(gaps)).sum(axis=1)
+                logs[rows, j] = np.log(work, out=work).sum(axis=1)
 
     starts = range(0, samples, chunk)
     with ThreadPoolExecutor(max_workers=min(thread_count(), len(starts))) as pool:

@@ -1,7 +1,9 @@
 """Sampling route: determinism, entry laws, and estimator sanity."""
 
 import math
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from wigcorr import wigner_mc
 from wigcorr.numeric_core import ZERO, scaled_to_real_checked
 from wigcorr.wigner_mc import (
     BLOCK_WORDS,
+    CHUNK_BYTES,
     DIST_KINDS,
     EIGEN_ROUTE_ABOVE,
     MAX_THREADS,
@@ -237,6 +240,23 @@ def test_thread_count_env(monkeypatch):
         thread_count()
 
 
+def test_thread_count_automatic_counts_usable_cpus(monkeypatch):
+    # a container pinned to 2 of 64 CPUs gets 2 workers, not 8
+    monkeypatch.delenv("RMT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 7}, raising=False)
+    assert thread_count() == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+    assert thread_count() == 8
+    # platforms without sched_getaffinity fall back to cpu_count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert thread_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert thread_count() == 1
+
+
 def test_sample_matrix_structure():
     cfg_h = MCConfig(HERM, dist_for("rademacher", HERM), 8, 1000, 5)
     mat = sample_matrix(cfg_h, 0)
@@ -307,6 +327,33 @@ def test_collect_dets_across_chunk_boundary():
             sgn, logabs = np.linalg.slogdet(mat - lam * eye)
             assert signs[i, j] == np.sign(sgn.real)
             assert logs[i, j] == logabs
+
+
+@pytest.mark.parametrize("kind", [HERM, SYM])
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64, 128, 256])
+def test_chunk_is_whole_blocks_within_the_byte_budget(kind, n):
+    cfg = MCConfig(kind, dist_for("gaussian", kind), n, 100, 0)
+    chunk, block = _chunk_size(cfg), _block_of(cfg)
+    itemsize = 16 if kind == HERM else 8
+    chunk_bytes = chunk * (8 * _width(cfg) + itemsize * n * n)
+    assert chunk % block == 0 and 0 < chunk <= max(4096, block)
+    assert chunk_bytes <= CHUNK_BYTES or chunk == block
+
+
+def test_estimate_memory_stays_within_a_few_chunks(monkeypatch):
+    # a 2 MB chunk with its factorization peaks near 3 MB; 16 MB chunks
+    # or a copy of the stack per lambda peak near 24 MB
+    monkeypatch.setenv("RMT_THREADS", "1")
+    cfg = MCConfig(HERM, dist_for("gaussian", HERM), 64, 600, 9,
+                   points=((0.0, 0.5),))
+    estimate_f(cfg)
+    tracemalloc.start()
+    try:
+        estimate_f(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 def _slogdet_reference(mats, lambdas):
@@ -444,8 +491,8 @@ def test_estimates_independent_of_chunking(monkeypatch):
 
 
 def test_estimates_independent_of_thread_count(monkeypatch):
-    # 1200 samples at n = 64 span ten chunks (126 samples each), and
-    # 9000 at n = 16 three chunks (3840 each) on the eigenvalue route, so
+    # 1200 samples at n = 64 span 86 chunks (14 samples each), and 9000
+    # at n = 16 nineteen chunks (480 each) on the eigenvalue route, so
     # this exercises multi-chunk stitching under every worker count
     lambdas = _many_lambdas(EIGEN_ROUTE_ABOVE + 2)
     many = tuple(zip(lambdas[::2], lambdas[1::2]))
