@@ -5,17 +5,16 @@ consecutive samples, where w is the number of raw variates one sample
 draws. Block b is drawn from the Philox counter-mode substream at
 counter [0, 0, 0, b] of the seed's key, in one call that fills its rows
 with the law's raw variates (standard normals or uniforms) in sample
-order, so sample i is row i % B of block i // B. Blocks depend only on
-the configuration and chunks hold whole blocks, so estimates are
-bit-identical for a fixed seed no matter how sampling is chunked or
-threaded. A chunk is as many whole blocks as keep its raw draws and its
-matrix stack within CHUNK_BYTES, one core's L2 cache (at least one
-block, at most 4096 samples). The law's map to entries then runs once
-over the chunk, in place, and the whole stack of matrices is assembled
-at once. sample_rng and sample_matrix give the same matrix one sample
-at a time.
+order, so sample i is row i % B of block i // B. The block is the unit
+of work: it depends only on the configuration, so estimates are
+bit-identical for a fixed seed no matter how sampling is threaded. The
+law's map to entries then runs once over the block, in place, and the
+whole stack of matrices is assembled at once; a block holds at most
+1 MB of draws and matrices, or one sample where a sample alone is
+larger. sample_rng and sample_matrix give the same matrix one sample at
+a time.
 
-Each chunk is factored by one of two routes, and neither copies the
+Each block is factored by one of two routes, and neither copies the
 stack. With at most EIGEN_ROUTE_ABOVE distinct lambdas, slogdet factors
 X - lambda once per lambda, with lambda subtracted from a saved copy of
 the diagonal into the stack's own. With more, one batched eigvalsh
@@ -69,13 +68,11 @@ SEED_LIMIT = 1 << 128  # a Philox key is two 64-bit words
 # all; from n = 128 (Hermitian) on it is one sample, whose draw outweighs
 # the generator's construction by two orders of magnitude.
 BLOCK_WORDS = 1 << 16
-# Bytes of raw draws plus matrix stack per chunk: one core's L2 cache.
-CHUNK_BYTES = 2 << 20
 # RMT_THREADS is refused above this; a pool never has more workers than
-# chunks either.
+# blocks either.
 MAX_THREADS = 64
 DET_IMAG_TOL = 1e-7
-# Above this many distinct lambdas a chunk is factored once, by its
+# Above this many distinct lambdas a block is factored once, by its
 # eigenvalues, instead of once per lambda by slogdet: one batched eigvalsh
 # costs about 3 to 5 slogdet calls at n = 4..256 in both ensembles (2 cores).
 EIGEN_ROUTE_ABOVE = 8
@@ -102,12 +99,6 @@ class EntryDist:
         # MomentProfile a variance not positive and finite
         moments_of(self)
 
-    def raw_sampler(self, rng: Generator):
-        """rng's sampler of the raw variates the law maps to entries:
-        standard normals for the Gaussian law, uniforms on [0, 1) for
-        the others. It takes a size or an out= array to fill."""
-        return rng.standard_normal if self.kind == "gaussian" else rng.random
-
     def map_raw(self, raw: np.ndarray) -> np.ndarray:
         """Map raw variates to entries in place and return them; each
         law's one formula, the arithmetic of numpy's normal(0, sd),
@@ -133,7 +124,11 @@ class EntryDist:
         return raw
 
     def draw(self, rng: Generator, size) -> np.ndarray:
-        return self.map_raw(self.raw_sampler(rng)(size))
+        """Entries from one fill of rng with the raw variates the law
+        maps: standard normals for the Gaussian law, uniforms on [0, 1)
+        for the others."""
+        sampler = rng.standard_normal if self.kind == "gaussian" else rng.random
+        return self.map_raw(sampler(size))
 
 
 def moments_of(dist: EntryDist) -> MomentProfile:
@@ -161,8 +156,10 @@ class MCConfig:
         check_order(self.samples, MC_MIN_SAMPLES, math.inf, "sample count")
         check_order(self.seed, 0, SEED_LIMIT - 1, "seed")
         check_profile(self.ensemble, moments_of(self.dist))
+        if len(self.points) == 0:
+            raise DomainError("no evaluation points")
         for pt in self.points:
-            if len(pt) != 2:
+            if not isinstance(pt, Sequence) or len(pt) != 2:
                 raise DomainError(f"bad evaluation point {pt!r}")
             check_finite("evaluation point", *pt)
 
@@ -240,36 +237,19 @@ def sample_matrix(cfg: MCConfig, index: int) -> np.ndarray:
     return _assemble(cfg, draws[row:])[0]
 
 
-def _draw_chunk(cfg: MCConfig, start: int, count: int) -> np.ndarray:
-    """Matrices of samples start .. start + count - 1, where start begins
-    a block; row c is sample_matrix(cfg, start + c) bit for bit."""
+def _draw_block(cfg: MCConfig, block: int) -> np.ndarray:
+    """Matrices of block's samples; row r is sample_matrix(cfg, block * B
+    + r) bit for bit, and the last block is cut at cfg.samples."""
     per_block = _block_samples(cfg)
-    draws = np.empty((count, _draw_width(cfg)))
-    for lo in range(0, count, per_block):
-        rng = sample_rng(cfg.seed, (start + lo) // per_block)
-        cfg.dist.raw_sampler(rng)(out=draws[lo:lo + per_block])
-    return _assemble(cfg, cfg.dist.map_raw(draws))
-
-
-def _chunk_size(cfg: MCConfig) -> int:
-    # As many whole blocks as keep the chunk's raw draws plus its matrix
-    # stack within CHUNK_BYTES, at least one block and at most 4096
-    # samples; a block of more than one sample holds at most 512 KB of
-    # draws. Hermitian n = 64, 128 and 256 at 600, 300 and 200 samples
-    # (two workers, one BLAS thread, 2 shared cores, 7 alternations) peaked
-    # at 105 MB RSS with a 16 MB budget, 67 MB at 4 MB, 62 MB at 2 MB and
-    # 62 MB at 1 MB; their wall medians, 1.86 to 1.99 s with quartile
-    # spreads near 0.4 s, did not tell the budgets apart.
-    itemsize = 16 if cfg.ensemble == EnsembleKind.HERMITIAN else 8
-    per_sample = 8 * _draw_width(cfg) + itemsize * cfg.n * cfg.n
-    per_block = _block_samples(cfg)
-    return max(1, min(4096, CHUNK_BYTES // per_sample) // per_block) * per_block
+    count = min(per_block, cfg.samples - block * per_block)
+    draws = cfg.dist.draw(sample_rng(cfg.seed, block), (count, _draw_width(cfg)))
+    return _assemble(cfg, draws)
 
 
 def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
     """Per-sample determinant signs and log magnitudes at each lambda.
 
-    Output arrays are indexed [sample, lambda]; chunk workers write
+    Output arrays are indexed [sample, lambda]; block workers write
     disjoint slices, so results do not depend on the worker count.
     """
     n, samples = cfg.n, cfg.samples
@@ -277,11 +257,11 @@ def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
     lam_arr = np.asarray(lambdas, dtype=float)
     signs = np.empty((samples, lam_arr.size), dtype=complex if hermitian else float)
     logs = np.empty((samples, lam_arr.size))
-    chunk = _chunk_size(cfg)
+    per_block = _block_samples(cfg)
 
-    def run_chunk(start: int) -> None:
-        rows = slice(start, min(start + chunk, samples))
-        mats = _draw_chunk(cfg, start, rows.stop - start)
+    def run_block(block: int) -> None:
+        mats = _draw_block(cfg, block)
+        rows = slice(block * per_block, block * per_block + mats.shape[0])
         if lam_arr.size <= EIGEN_ROUTE_ABOVE:
             # X - lambda in place, with the bits of X - lambda * I: off
             # the diagonal that subtracts +-0.0, which changes only a
@@ -301,9 +281,9 @@ def _collect_dets(cfg: MCConfig, lambdas: Sequence[float]):
             with np.errstate(divide="ignore"):  # an exact eigenvalue: -inf
                 logs[rows, j] = np.log(work, out=work).sum(axis=1)
 
-    starts = range(0, samples, chunk)
-    with ThreadPoolExecutor(max_workers=min(thread_count(), len(starts))) as pool:
-        list(pool.map(run_chunk, starts))
+    blocks = range(-(-samples // per_block))
+    with ThreadPoolExecutor(max_workers=min(thread_count(), len(blocks))) as pool:
+        list(pool.map(run_block, blocks))
 
     if hermitian:
         worst = float(np.abs(signs.imag).max())

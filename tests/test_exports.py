@@ -19,9 +19,9 @@ PACKAGE = ROOT / "src" / "wigcorr"
 
 # Kept without a runtime caller, each for a stated reason.
 ALLOWED = {
-    # The per-sample reference that the chunked Monte Carlo draw is
-    # tested against, bit for bit.
-    "sample_matrix": "per-sample reference of the chunk path",
+    # The per-sample reference that the block-at-a-time Monte Carlo draw
+    # is tested against, bit for bit.
+    "sample_matrix": "per-sample reference of the block path",
 }
 
 

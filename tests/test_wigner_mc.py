@@ -24,7 +24,6 @@ from wigcorr import wigner_mc
 from wigcorr.numeric_core import ZERO, scaled_to_real_checked
 from wigcorr.wigner_mc import (
     BLOCK_WORDS,
-    CHUNK_BYTES,
     DIST_KINDS,
     EIGEN_ROUTE_ABOVE,
     MAX_THREADS,
@@ -40,9 +39,8 @@ from wigcorr.wigner_mc import (
     sample_rng,
     thread_count,
     _assemble,
-    _chunk_size,
     _collect_dets,
-    _draw_chunk,
+    _draw_block,
 )
 
 HERM = EnsembleKind.HERMITIAN
@@ -69,6 +67,12 @@ def _block_of(cfg):
     """Samples per block: BLOCK_WORDS raw variates, whole samples, at
     least one."""
     return max(1, BLOCK_WORDS // _width(cfg))
+
+
+def _draw_all(cfg):
+    """Matrices of every sample, block after block."""
+    blocks = -(-cfg.samples // _block_of(cfg))
+    return np.concatenate([_draw_block(cfg, b) for b in range(blocks)])
 
 
 def _reference_matrix(cfg, seed, index):
@@ -205,6 +209,10 @@ def test_mc_config_validation():
     with pytest.raises(DomainError):
         MCConfig(HERM, dist, 4, 1000, 0, points=((0.0,),))
     with pytest.raises(DomainError):
+        MCConfig(HERM, dist, 4, 1000, 0, points=())
+    with pytest.raises(DomainError):
+        MCConfig(HERM, dist, 4, 1000, 0, points=(0.5,))
+    with pytest.raises(DomainError):
         MCConfig(HERM, dist, 4, 1000, 0, points=((math.inf, 0.0),))
 
 
@@ -284,19 +292,23 @@ def test_sample_matrix_is_reproducible():
 @pytest.mark.parametrize("law", DIST_KINDS)
 def test_chunk_draw_is_bit_identical_to_per_sample_reference(kind, law):
     # n = 1 .. 7 have thousands of samples per block, n = 128 one
-    # (Hermitian) or three; each chunk starts at block 1 and ends two
-    # samples into block 3, and the rows at both block edges are checked
+    # (Hermitian) or three; the first, a middle and the last block are
+    # checked at both edges, and the last block is short where B > 1
     for n in (1, 2, 4, 7, 128):
-        cfg = MCConfig(kind, dist_for(law, kind, two_point_p=0.3), n, 1000, 2024)
-        per_block = _block_of(cfg)
-        start, count = per_block, 2 * per_block + 2
-        stack = _draw_chunk(cfg, start, count)
-        assert stack.shape == (count, n, n)
-        edges = {0, 1, per_block - 1, per_block, per_block + 1, count - 2, count - 1}
-        for c in sorted(edges):
-            one = sample_matrix(cfg, start + c)
-            assert _same_bytes(stack[c], one), (n, c)
-            assert _same_bytes(one, _reference_matrix(cfg, cfg.seed, start + c))
+        dist = dist_for(law, kind, two_point_p=0.3)
+        per_block = _block_of(MCConfig(kind, dist, n, MC_MIN_SAMPLES, 2024))
+        cfg = MCConfig(kind, dist, n, max(MC_MIN_SAMPLES, 2 * per_block) + 1, 2024)
+        last = (cfg.samples - 1) // per_block
+        assert per_block == 1 or cfg.samples % per_block
+        for block in (0, last // 2, last):
+            stack = _draw_block(cfg, block)
+            count = min(per_block, cfg.samples - block * per_block)
+            assert stack.shape == (count, n, n)
+            for row in sorted({0, 1, count - 1} & set(range(count))):
+                index = block * per_block + row
+                one = sample_matrix(cfg, index)
+                assert _same_bytes(stack[row], one), (n, block, row)
+                assert _same_bytes(one, _reference_matrix(cfg, cfg.seed, index))
 
 
 @pytest.mark.parametrize("kind", [HERM, SYM])
@@ -315,9 +327,10 @@ def test_assembly_keeps_reference_signed_zeros(kind):
 
 
 def test_collect_dets_across_chunk_boundary():
+    # 171 blocks of 7 samples and a short last one of 3
     cfg = MCConfig(HERM, dist_for("gaussian", HERM), 64, 1200, 9)
-    assert cfg.samples > 2 * _chunk_size(cfg)
-    assert _chunk_size(cfg) % _block_of(cfg) == 0 and _block_of(cfg) > 1
+    assert cfg.samples > 2 * _block_of(cfg) > 2
+    assert cfg.samples % _block_of(cfg)
     lambdas = (0.0, 0.5)
     signs, logs = _collect_dets(cfg, lambdas)
     eye = np.eye(cfg.n)
@@ -332,17 +345,17 @@ def test_collect_dets_across_chunk_boundary():
 @pytest.mark.parametrize("kind", [HERM, SYM])
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 64, 128, 256])
 def test_chunk_is_whole_blocks_within_the_byte_budget(kind, n):
-    cfg = MCConfig(kind, dist_for("gaussian", kind), n, 100, 0)
-    chunk, block = _chunk_size(cfg), _block_of(cfg)
+    cfg = MCConfig(kind, dist_for("gaussian", kind), n, 1 << 20, 0)
+    block = _draw_block(cfg, 0).shape[0]
     itemsize = 16 if kind == HERM else 8
-    chunk_bytes = chunk * (8 * _width(cfg) + itemsize * n * n)
-    assert chunk % block == 0 and 0 < chunk <= max(4096, block)
-    assert chunk_bytes <= CHUNK_BYTES or chunk == block
+    assert block == _block_of(cfg)
+    assert block * (8 * _width(cfg) + itemsize * n * n) <= 16 * BLOCK_WORDS or block == 1
 
 
 def test_estimate_memory_stays_within_a_few_chunks(monkeypatch):
-    # a 2 MB chunk with its factorization peaks near 3 MB; 16 MB chunks
-    # or a copy of the stack per lambda peak near 24 MB
+    # one block (7 samples) with its factorization peaks near 1.5 MB;
+    # 16 MB of samples at once or a copy of the stack per lambda peak
+    # near 24 MB
     monkeypatch.setenv("RMT_THREADS", "1")
     cfg = MCConfig(HERM, dist_for("gaussian", HERM), 64, 600, 9,
                    points=((0.0, 0.5),))
@@ -375,7 +388,7 @@ def test_eigen_route_agrees_with_slogdet_per_sample(kind, law):
         cfg = MCConfig(kind, dist_for(law, kind, two_point_p=0.3), n, 100, 31)
         lambdas = _many_lambdas(EIGEN_ROUTE_ABOVE + 3)
         signs, logs = _collect_dets(cfg, lambdas)
-        mats = _draw_chunk(cfg, 0, cfg.samples)
+        mats = _draw_all(cfg)
         ref_signs, ref_logs = _slogdet_reference(mats, lambdas)
         np.testing.assert_array_equal(signs, ref_signs)
         # Both routes are backward stable: eigvalsh returns each lambda_i
@@ -397,7 +410,7 @@ def test_exact_singular_sample_on_both_routes():
     # n = 1 Rademacher real symmetric samples are exactly +-sqrt(2)
     cfg = MCConfig(SYM, dist_for("rademacher", SYM), 1, 100, 4)
     root = math.sqrt(2.0)
-    values = _draw_chunk(cfg, 0, cfg.samples)[:, 0, 0]
+    values = _draw_all(cfg)[:, 0, 0]
     assert set(values.tolist()) == {root, -root}
     few = (root, -root)
     many = few + _many_lambdas(EIGEN_ROUTE_ABOVE)
@@ -424,7 +437,7 @@ def test_route_selected_by_lambda_count(monkeypatch):
     signs, logs = _collect_dets(cfg, at)
     assert calls == {"slogdet": EIGEN_ROUTE_ABOVE, "eigvalsh": 0}
     # at the crossover the values are the per-lambda slogdet ones exactly
-    ref_signs, ref_logs = _slogdet_reference(_draw_chunk(cfg, 0, cfg.samples), at)
+    ref_signs, ref_logs = _slogdet_reference(_draw_all(cfg), at)
     assert _same_bytes(signs, ref_signs) and _same_bytes(logs, ref_logs)
     calls.update(slogdet=0, eigvalsh=0)
     _collect_dets(cfg, _many_lambdas(EIGEN_ROUTE_ABOVE + 1))
@@ -435,8 +448,8 @@ def test_estimate_f_rejects_rotated_determinant(monkeypatch):
     # det [[0, 1], [5j, 0]] = -5j: a Hermitian-ensemble determinant with
     # that phase is refused, not rounded to a real sign
     rotated = np.array([[0.0, 1.0], [5.0j, 0.0]])
-    monkeypatch.setattr(wigner_mc, "_draw_chunk",
-                        lambda cfg, start, count: np.stack([rotated] * count))
+    monkeypatch.setattr(wigner_mc, "_draw_block",
+                        lambda cfg, block: np.stack([rotated] * cfg.samples))
     cfg = MCConfig(HERM, dist_for("gaussian", HERM), 2, 100, 0)
     with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
         estimate_f(cfg)
@@ -444,7 +457,7 @@ def test_estimate_f_rejects_rotated_determinant(monkeypatch):
 
 class _RecordingPool:
     """ThreadPoolExecutor stand-in that records its worker count and runs
-    the chunks in order on the calling thread."""
+    the blocks in order on the calling thread."""
 
     workers = []
 
@@ -465,11 +478,11 @@ def test_pool_never_has_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(wigner_mc, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "workers", [])
     small = MCConfig(SYM, dist_for("uniform", SYM), 4, 100, 3)
-    three_chunks = MCConfig(SYM, small.dist, 4, 2 * _chunk_size(small) + 1, 3)
+    three_blocks = MCConfig(SYM, small.dist, 4, 2 * _block_of(small) + 1, 3)
     monkeypatch.setenv("RMT_THREADS", str(MAX_THREADS))
-    _collect_dets(three_chunks, (0.0,))
+    _collect_dets(three_blocks, (0.0,))
     monkeypatch.setenv("RMT_THREADS", "2")
-    _collect_dets(three_chunks, (0.0,))
+    _collect_dets(three_blocks, (0.0,))
     monkeypatch.setenv("RMT_THREADS", "0")
     _collect_dets(small, (0.0,))
     assert _RecordingPool.workers == [3, 2, 1]
@@ -479,21 +492,11 @@ def test_pool_never_has_more_workers_than_chunks(monkeypatch):
     assert _RecordingPool.workers == [3, 2, 1]
 
 
-def test_estimates_independent_of_chunking(monkeypatch):
-    # one, two and three blocks per chunk, and the last chunk short
-    cfg = MCConfig(HERM, dist_for("two_point", HERM, two_point_p=0.3), 4, 9000, 9,
-                   points=((0.3, -0.7), (1.0, 1.0)))
-    per_block = _block_of(cfg)
-    want = estimate_f(cfg)
-    for blocks in (1, 2, 3):
-        monkeypatch.setattr(wigner_mc, "_chunk_size", lambda cfg, b=blocks: b * per_block)
-        assert estimate_f(cfg) == want
-
-
 def test_estimates_independent_of_thread_count(monkeypatch):
-    # 1200 samples at n = 64 span 86 chunks (14 samples each), and 9000
-    # at n = 16 nineteen chunks (480 each) on the eigenvalue route, so
-    # this exercises multi-chunk stitching under every worker count
+    # 1200 samples at n = 64 span 172 blocks (7 samples each), and 9000
+    # at n = 16 38 blocks (240 each) on the eigenvalue route, both with a
+    # short last block, so this exercises stitching under every worker
+    # count
     lambdas = _many_lambdas(EIGEN_ROUTE_ABOVE + 2)
     many = tuple(zip(lambdas[::2], lambdas[1::2]))
     for cfg in (
@@ -502,7 +505,7 @@ def test_estimates_independent_of_thread_count(monkeypatch):
         MCConfig(SYM, dist_for("two_point", SYM, two_point_p=0.3), 16, 9000,
                  9, points=many),
     ):
-        assert cfg.samples > 2 * _chunk_size(cfg)
+        assert cfg.samples > 2 * _block_of(cfg)
         monkeypatch.setenv("RMT_THREADS", "1")
         serial = estimate_f(cfg)
         for workers in ("2", "3"):
