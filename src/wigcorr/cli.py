@@ -135,8 +135,8 @@ def _resolve_n_list(args) -> List[int]:
         sizes = list(args.n_list)
     else:
         raise DomainError("pass --n or --n-list")
-    if sizes != sorted(sizes):
-        raise DomainError(f"sizes must be ascending, got {sizes}")
+    if sizes != sorted(set(sizes)):
+        raise DomainError(f"sizes must be strictly ascending, got {sizes}")
     return sizes
 
 
@@ -396,7 +396,7 @@ def _size_options(parser: argparse.ArgumentParser) -> None:
     sizes = parser.add_mutually_exclusive_group()
     sizes.add_argument("--n", type=int, help="single matrix size")
     sizes.add_argument("--n-list", dest="n_list", type=_size_list,
-                       metavar="A,B,C", help="ascending matrix sizes")
+                       metavar="A,B,C", help="strictly ascending matrix sizes")
 
 
 def _output_options(parser: argparse.ArgumentParser) -> None:

@@ -9,7 +9,8 @@ routes are compared in the self-test suite.
 
 One Hermite recurrence, `_hermite_advance`, serves both Hermite jobs:
 `hermite_phys` (and through it `char_poly_mean`) runs it once over all
-orders, and `gue_kernel` collects every order from it one step at a time.
+orders, and `gue_kernel` steps it one order at a time at x and at y,
+adding each order's term to a running sum as soon as it reaches it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import airy as _scipy_airy, gammaln
+from scipy.special import airy as _scipy_airy
 
 from .errors import DegenerateDenominatorError, DomainError, check_finite, check_order
 from .numeric_core import (
@@ -105,23 +106,6 @@ def _hermite_advance(tx: float, k: int, stop: int, h_prev: float,
     return h_prev, h_cur, scale
 
 
-def _hermite_seq(n: int, x: float):
-    """Signs and natural-log magnitudes of H_k(x) for k = 0..n, collected
-    from `_hermite_advance` one order at a time."""
-    signs = np.zeros(n + 1)
-    logs = np.full(n + 1, -np.inf)
-    signs[0], logs[0] = 1.0, 0.0
-    tx = 2.0 * x
-    h_prev, h_cur, scale = 1.0, tx, 0.0
-    for k in range(1, n + 1):
-        if k > 1:
-            h_prev, h_cur, scale = _hermite_advance(tx, k - 1, k, h_prev, h_cur, scale)
-        if h_cur != 0.0:
-            signs[k] = math.copysign(1.0, h_cur)
-            logs[k] = math.log(abs(h_cur)) + scale
-    return signs, logs
-
-
 def hermite_phys(n: int, x: float) -> ScaledReal:
     """Physicists' Hermite polynomial H_n(x) in scaled form."""
     check_order(n, 0, HERMITE_MAX_N, "hermite_phys degree")
@@ -170,22 +154,35 @@ def gue_kernel(n: int, x: float, y: float) -> ScaledReal:
     ensemble with weight exp(-x^2/2).
 
     K_n(x,y) = exp(-(x^2+y^2)/4) * sum_{k=0}^{n-1} p_k(x) p_k(y) /
-    (sqrt(2 pi) k!) with monic p_k(x) = 2^(-k/2) H_k(x / sqrt(2)). Terms
-    are combined under a running max-exponent shift so no intermediate
-    leaves double range.
+    (sqrt(2 pi) k!) with monic p_k(x) = 2^(-k/2) H_k(x / sqrt(2)). Each
+    term joins a running max-shifted sum as soon as the recurrence reaches
+    its order. A Hermite step or a log magnitude that leaves double range
+    raises DomainError.
     """
     check_order(n, 1, GUE_KERNEL_MAX_N, "gue_kernel order")
     check_finite("gue_kernel arguments", x, y)
-    rt2 = math.sqrt(2.0)
-    sx, lx = _hermite_seq(n - 1, x / rt2)
-    sy, ly = _hermite_seq(n - 1, y / rt2)
-    ks = np.arange(n)
-    term_logs = lx + ly - ks * math.log(2.0) - gammaln(ks + 1) - 0.5 * math.log(2.0 * math.pi)
-    term_signs = sx * sy
-    live = term_signs != 0.0  # the k = 0 term, 1 * 1, is always live
-    shift = term_logs[live].max()
-    total = float((term_signs[live] * np.exp(term_logs[live] - shift)).sum())
+    tx, ty = (2.0 * (v / math.sqrt(2.0)) for v in (x, y))
+    # (H_{k-1}, H_k, log scale) at x and at y from H_{-1} = 0, H_0 = 1;
+    # the k = 0 term, 1, starts the sum under shift 0
+    px, hx, gx = py, hy, gy = 0.0, 1.0, 0.0
+    shift, total = 0.0, 1.0
+    for k in range(1, n):
+        px, hx, gx = _hermite_advance(tx, k - 1, k, px, hx, gx)
+        py, hy, gy = _hermite_advance(ty, k - 1, k, py, hy, gy)
+        if hx == 0.0 or hy == 0.0:
+            continue
+        # each factor's log is formed apart, so swapping x and y keeps the bits
+        log_t = ((math.log(abs(hx)) + gx) + (math.log(abs(hy)) + gy)
+                 - k * math.log(2.0) - math.lgamma(k + 1))
+        sign = 1.0 if (hx > 0.0) == (hy > 0.0) else -1.0
+        if log_t > shift:
+            total, shift = total * math.exp(shift - log_t) + sign, log_t
+        else:
+            total += sign * math.exp(log_t - shift)
     if total == 0.0:
         return ZERO
-    log_mag = shift + math.log(abs(total)) - (x * x + y * y) / 4.0
+    log_mag = (shift + math.log(abs(total)) - 0.5 * math.log(2.0 * math.pi)
+               - (x * x + y * y) / 4.0)
+    if not math.isfinite(log_mag):
+        raise DomainError(f"gue_kernel({n}, {x!r}, {y!r}) overflows double range")
     return ScaledReal(1 if total > 0 else -1, log_mag)

@@ -383,6 +383,19 @@ def test_unsorted_sizes_rejected(capsys):
     assert "ascending" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["edge", "--n-list", "1000,1000"],
+    ["mc", "--n-list", "4,4", "--samples", "200"],
+])
+def test_repeated_sizes_rejected(capsys, argv):
+    # a repeated size used to print its row twice, and edge fitted its
+    # error slope through the two identical points
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert "ascending" in err
+    assert out == ""
+
+
 def test_bad_subcommand_exits_three(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])

@@ -9,7 +9,6 @@ from wigcorr import egf_engine, wigner_mc
 from wigcorr.errors import DegenerateDenominatorError, DomainError
 from wigcorr.exact_oracle import EnsembleKind
 from wigcorr.numeric_core import (
-    ZERO,
     scaled_add,
     scaled_mul,
     scaled_neg,
@@ -17,7 +16,6 @@ from wigcorr.numeric_core import (
 )
 from wigcorr.special_fn import (
     AIRY_DOMAIN,
-    _hermite_seq,
     airy,
     airy_contour,
     char_poly_mean,
@@ -86,26 +84,6 @@ def test_hermite_domain_guard():
         hermite_phys(2, math.inf)
 
 
-@pytest.mark.parametrize("n, x", [
-    (600, 3.0),
-    (5000, (2.0 * math.sqrt(5000) + 1.5 * 5000 ** (-1.0 / 6.0)) / math.sqrt(2.0)),
-    (10 ** 5, 1.234),
-    (7, 0.0),
-    (999, -2.5),
-    (40, -150.0),
-])
-def test_hermite_phys_is_the_last_entry_of_the_sequence(n, x):
-    # hermite_phys runs the Hermite loop once over all orders and
-    # _hermite_seq one order at a time; both must give the same bits
-    signs, logs = _hermite_seq(n, x)
-    val = hermite_phys(n, x)
-    if signs[n] == 0.0:
-        assert val is ZERO
-    else:
-        assert val.sign == int(signs[n])
-        assert val.log_mag == float(logs[n])
-
-
 def test_hermite_overflow_names_the_input():
     # a step that leaves double range used to surface as a NaN log
     # magnitude; it must be refused with the degree and the argument
@@ -113,6 +91,19 @@ def test_hermite_overflow_names_the_input():
         hermite_phys(5, 1e200)
     with pytest.raises(DomainError, match="overflows"):
         char_poly_mean(3, 1e120)
+
+
+def test_gue_kernel_overflow_names_the_input():
+    # a Hermite step that leaves double range used to reach ScaledReal as
+    # a NaN log magnitude; it must be refused with the order and the point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError,
+                           match=r"^gue_kernel\(5, 1e\+200, 0\.3\) overflows double range$"):
+            gue_kernel(5, 1e200, 0.3)
+        # no Hermite step at order 1; exp(-(x^2+y^2)/4) leaves range alone
+        with pytest.raises(DomainError, match=r"^gue_kernel\(1, 1e\+160, 0\.0\) overflows"):
+            gue_kernel(1, 1e160, 0.0)
 
 
 def test_char_poly_mean_small_orders():
@@ -171,6 +162,53 @@ def test_gue_kernel_refuses_non_finite_arguments(x, y):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"gue_kernel arguments \(.*\) must be finite"):
             gue_kernel(3, x, y)
+
+
+def _gue_kernel_60_digits(n, x, y):
+    # exp(-(x^2+y^2)/4) / sqrt(2 pi) * sum_{k<n} He_k(x) He_k(y) / k!, with
+    # the probabilists' He_{k+1}(t) = t He_k(t) - k He_{k-1}(t)
+    with mp.workdps(60):
+        a, b = mp.mpf(x), mp.mpf(y)
+        pa = pb = mp.mpf(0)
+        ha = hb = fact = mp.mpf(1)
+        total = mp.mpf(0)
+        for k in range(n):
+            total += ha * hb / fact
+            pa, ha = ha, a * ha - k * pa
+            pb, hb = hb, b * hb - k * pb
+            fact *= k + 1
+        value = total * mp.exp(-(a * a + b * b) / 4) / mp.sqrt(2 * mp.pi)
+        return int(mp.sign(value)), float(mp.log(abs(value)))
+
+
+def _bulk_point(n, xi):
+    # the benchmark's bulk alpha = 1 reference point at offsets (0.25, -0.25)
+    root = math.sqrt(n - 1)
+    rho = math.sqrt(4.0 - xi * xi) / (2.0 * math.pi)
+    return n, root * xi + 0.25 / (root * rho), root * xi - 0.25 / (root * rho)
+
+
+GUE_REFERENCE_POINTS = (
+    # acceptance test_03 and the selftest's gue-kernel-link
+    [(n, x, y) for n in (2, 11, 41) for x, y in ((0.0, 0.0), (0.3, -0.7), (1.0, 1.0))]
+    # near-diagonal raw points, as the benchmark's gue-link rows, and the
+    # off-diagonal (0.9, -1.4) at the top order
+    + [(65, 0.213, 0.2437), (257, -0.41, -0.4523), (2000, 0.05, 0.0131), (2000, 0.9, -1.4)]
+    # bulk points at xi = 0, 0.25, 1
+    + [_bulk_point(n, xi) for n in (513, 2000) for xi in (0.0, 0.25, 1.0)]
+    # outside the spectrum at c sqrt(n - 1), c in [3.5, 4.5]
+    + [(n, c1 * math.sqrt(n - 1), c2 * math.sqrt(n - 1))
+       for n in (65, 257, 2000) for c1, c2 in ((3.5, 4.5), (4.1, 3.8))]
+)
+
+
+@pytest.mark.parametrize("n, x, y", GUE_REFERENCE_POINTS)
+def test_gue_kernel_matches_a_60_digit_sum(n, x, y):
+    got = gue_kernel(n, x, y)
+    want_sign, want_log = _gue_kernel_60_digits(n, x, y)
+    assert got.sign == want_sign
+    assert abs(got.log_mag - want_log) <= 1e-12 * max(1.0, abs(want_log))
+    assert gue_kernel(n, y, x) == got
 
 
 def test_gue_kernel_christoffel_darboux_consistency():

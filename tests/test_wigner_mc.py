@@ -326,7 +326,7 @@ def test_assembly_keeps_reference_signed_zeros(kind):
     assert _same_bytes(got, _layout_reference(kind == HERM, diag, re, im))
 
 
-def test_collect_dets_across_chunk_boundary():
+def test_collect_dets_across_block_boundaries():
     # 171 blocks of 7 samples and a short last one of 3
     cfg = MCConfig(HERM, dist_for("gaussian", HERM), 64, 1200, 9)
     assert cfg.samples > 2 * _block_of(cfg) > 2
@@ -352,7 +352,7 @@ def test_chunk_is_whole_blocks_within_the_byte_budget(kind, n):
     assert block * (8 * _width(cfg) + itemsize * n * n) <= 16 * BLOCK_WORDS or block == 1
 
 
-def test_estimate_memory_stays_within_a_few_chunks(monkeypatch):
+def test_estimate_memory_stays_within_a_few_blocks(monkeypatch):
     # one block (7 samples) with its factorization peaks near 1.5 MB;
     # 16 MB of samples at once or a copy of the stack per lambda peak
     # near 24 MB
@@ -474,7 +474,7 @@ class _RecordingPool:
         return map(fn, items)
 
 
-def test_pool_never_has_more_workers_than_chunks(monkeypatch):
+def test_pool_never_has_more_workers_than_blocks(monkeypatch):
     monkeypatch.setattr(wigner_mc, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "workers", [])
     small = MCConfig(SYM, dist_for("uniform", SYM), 4, 100, 3)
